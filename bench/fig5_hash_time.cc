@@ -12,8 +12,9 @@
 //     into byte lookup tables, making both families equally cheap per
 //     element;
 //   * "kernel": the sublinear range-min kernels (hash/kernels.h) the
-//     probe path actually uses — O(log p) for linear, O(W) for the
-//     shuffles — whose cost is flat in range size. Bit-identical
+//     probe path actually uses — O(log p) for linear, O(d) dyadic
+//     blocks for the shuffles (d = log2 of the range's span) — whose
+//     cost is flat in range size. Bit-identical
 //     results; only the figure's cost model changes.
 // The paper's orderings — time linear in range size; linear
 // permutations fastest, full min-wise slowest — hold in the naive

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 
 #include <cstring>
 #include <vector>
@@ -181,13 +182,22 @@ void BM_PeerIndexBestMatch(benchmark::State& state) {
 BENCHMARK(BM_PeerIndexBestMatch)->Arg(100)->Arg(10000)->Arg(100000);
 
 void BM_LshIdentifiersInto(benchmark::State& state) {
-  // The batched, allocation-free probe-path form.
+  // The batched, allocation-free probe-path form, over the paper
+  // workload's query ranges: uniform endpoint pairs in [0, 1000].
   auto scheme = LshScheme::Make(LshParams::Paper(HashFamilyType::kApproxMinwise, 7));
   CHECK(scheme.ok());
-  const Range q(100, 433);
+  Rng rng(23);
+  std::vector<Range> ranges;
+  for (int i = 0; i < 1024; ++i) {
+    uint32_t a = static_cast<uint32_t>(rng.NextBounded(1001));
+    uint32_t b = static_cast<uint32_t>(rng.NextBounded(1001));
+    if (a > b) std::swap(a, b);
+    ranges.emplace_back(a, b);
+  }
   std::vector<uint32_t> ids;
+  size_t i = 0;
   for (auto _ : state) {
-    scheme->IdentifiersInto(q, &ids);
+    scheme->IdentifiersInto(ranges[i++ % ranges.size()], &ids);
     benchmark::DoNotOptimize(ids.data());
   }
 }

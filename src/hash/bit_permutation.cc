@@ -48,9 +48,6 @@ BitPermutation::BitPermutation(const BitShuffleKeys& keys, int rounds)
     }
     position_map_[j] = pos;
   }
-  for (int j = 0; j < 64; ++j) inverse_map_[j] = j;
-  for (int j = 0; j < width_; ++j) inverse_map_[position_map_[j]] = j;
-
   // Compile per-byte scatter tables.
   table_.assign(num_bytes_, {});
   for (int i = 0; i < num_bytes_; ++i) {
@@ -64,6 +61,10 @@ BitPermutation::BitPermutation(const BitShuffleKeys& keys, int rounds)
       }
       table_[i][v] = out;
     }
+  }
+  for (int t = 0; t < 32; ++t) {
+    bit_image_[t] = Apply(1u << t);
+    low_image_[t] = Apply((1u << t) - 1);
   }
 }
 

@@ -69,12 +69,13 @@ class BitPermutation {
   /// the value of input bit j.
   const std::array<int, 64>& position_map() const { return position_map_; }
 
-  /// Inverse of position_map(): output bit j takes the value of input
-  /// bit inverse_position_map()[j]. Drives the sublinear range-min
-  /// kernel (hash/kernels.h), which fixes output bits high-to-low.
-  const std::array<int, 64>& inverse_position_map() const {
-    return inverse_map_;
-  }
+  /// Apply(1 << t): where input bit t lands. For t < 32.
+  uint32_t bit_image(int t) const { return bit_image_[t]; }
+
+  /// Apply((1 << t) - 1): the output positions of input bits below t.
+  /// For t < 32. Together with bit_image() these drive the dyadic-block
+  /// range-min kernel (hash/kernels.h).
+  uint32_t low_image(int t) const { return low_image_[t]; }
 
  private:
   int width_;
@@ -82,7 +83,8 @@ class BitPermutation {
   int num_bytes_;
   BitShuffleKeys keys_;
   std::array<int, 64> position_map_;
-  std::array<int, 64> inverse_map_;
+  std::array<uint32_t, 32> bit_image_;
+  std::array<uint32_t, 32> low_image_;
   // table_[i][v]: contribution of input byte i holding value v.
   std::vector<std::array<uint32_t, 256>> table_;
 };

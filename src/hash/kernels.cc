@@ -1,5 +1,6 @@
 #include "hash/kernels.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.h"
@@ -62,52 +63,31 @@ uint32_t MinLinearOverRange(uint64_t a, uint64_t b, uint64_t p, const Range& q) 
   return static_cast<uint32_t>(MinModSequence(n, p, a, c));
 }
 
-std::optional<uint32_t> NextMatchingPattern(uint32_t lo, uint32_t mask,
-                                            uint32_t value) {
-  DCHECK_EQ(value & ~mask, 0u);
-  const uint64_t free = ~static_cast<uint64_t>(mask) & 0xFFFFFFFFull;
-  const uint64_t candidate = (lo & ~mask) | value;
-  if (candidate == lo) return lo;
-  // candidate agrees with lo on every free bit, so the highest
-  // differing bit d is a masked position.
-  const int d = 63 - std::countl_zero(candidate ^ static_cast<uint64_t>(lo));
-  if (candidate > lo) {
-    // Forced 1 over lo's 0 at bit d: anything below d is ours to
-    // minimize, so clear every free bit under it.
-    return static_cast<uint32_t>(candidate & ~(free & ((1ULL << d) - 1)));
-  }
-  // Forced 0 under lo's 1 at bit d: to reach lo we must raise the
-  // lowest free zero bit above d, then clear every free bit under it.
-  const uint64_t risers = free & ~candidate & ~((1ULL << (d + 1)) - 1);
-  if (risers == 0) return std::nullopt;
-  const uint64_t riser = risers & (~risers + 1);  // lowest set bit
-  return static_cast<uint32_t>((candidate | riser) & ~(free & (riser - 1)));
-}
-
 uint32_t MinPermutedOverRange(const BitPermutation& perm, uint32_t out_xor,
                               const Range& q) {
-  const std::array<int, 64>& inv = perm.inverse_position_map();
-  uint32_t mask = 0;   // input bits pinned so far
-  uint32_t value = 0;  // their pinned values
-  uint32_t result = 0;
-  for (int j = perm.width() - 1; j >= 0; --j) {
-    const uint32_t in_bit = 1u << inv[j];
-    const uint32_t flip = (out_xor >> j) & 1u;
-    // Output bit j is input bit inv[j] XOR flip; try to make it 0.
-    const uint32_t zero_value = value | (flip ? in_bit : 0u);
-    const std::optional<uint32_t> witness =
-        NextMatchingPattern(q.lo(), mask | in_bit, zero_value);
-    if (witness.has_value() && *witness <= q.hi()) {
-      value = zero_value;
-    } else {
-      // The zero branch is empty; its complement within the (feasible)
-      // parent assignment cannot be.
-      value |= flip ? 0u : in_bit;
-      result |= 1u << j;
-    }
-    mask |= in_bit;
+  const uint32_t lo = q.lo();
+  const uint32_t hi = q.hi();
+  const uint32_t at_lo = perm.Apply(lo) ^ out_xor;
+  const uint32_t at_hi = perm.Apply(hi) ^ out_xor;
+  uint32_t best = std::min(at_lo, at_hi);
+  if (lo == hi) return best;
+  // Below the highest differing bit d, [lo, hi] is {lo, hi} plus one
+  // aligned block per bit t < d: where lo has a 0, the block that
+  // shares lo's bits above t, sets bit t and frees the bits below it;
+  // where hi has a 1, the block that shares hi's bits above t, clears
+  // bit t and frees the bits below it. A free input bit moves one
+  // output bit, so a block's minimum is its endpoint's image with bit
+  // t flipped and the free bits' images cleared. A block that does not
+  // exist is masked to all-ones, which never wins the min.
+  const int d = 31 - std::countl_zero(lo ^ hi);
+  for (int t = 0; t < d; ++t) {
+    const uint32_t flip = perm.bit_image(t);
+    const uint32_t keep = ~perm.low_image(t);
+    const uint32_t left = ((at_lo ^ flip) & keep) | (0u - ((lo >> t) & 1u));
+    const uint32_t right = ((at_hi ^ flip) & keep) | (0u - (~hi >> t & 1u));
+    best = std::min(best, std::min(left, right));
   }
-  return result;
+  return best;
 }
 
 }  // namespace p2prange

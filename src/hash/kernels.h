@@ -14,10 +14,14 @@
 //  * Bit-shuffle (§3.3, full and approximate): the compiled
 //    permutation is a pure bit-position permutation P, optionally
 //    composed with an XOR translation, so π(x) = P(x) ⊕ c is
-//    GF(2)-linear. The minimum over [lo, hi] is found by fixing output
-//    bits from the most significant down, preferring 0 whenever some
-//    x ∈ [lo, hi] remains consistent with the partial assignment —
-//    O(W) feasibility checks of O(1) bit ops each.
+//    GF(2)-linear. [lo, hi] splits into its two endpoints and at most
+//    2·d aligned dyadic blocks, d being the highest bit where lo and hi
+//    differ (the range-efficient decomposition of Gudmundsson & Pagh).
+//    Over a block whose low t input bits are free, the minimum of
+//    P(x) ⊕ c is the block's fixed-bit image with the free bits'
+//    output positions cleared; BitPermutation precomputes P(1 << t)
+//    and P((1 << t) − 1), so each block costs a few branch-free ALU
+//    ops and the whole kernel O(d) ≤ O(W).
 //
 // Both kernels return bit-identical results to the naive scan (the
 // differential suite in tests/hash/kernels_test.cc pins this over
@@ -27,7 +31,6 @@
 #define P2PRANGE_HASH_KERNELS_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "hash/bit_permutation.h"
 #include "hash/range.h"
@@ -41,18 +44,12 @@ namespace p2prange {
 uint32_t MinLinearOverRange(uint64_t a, uint64_t b, uint64_t p, const Range& q);
 
 /// \brief Exact min of perm.Apply(x) ^ out_xor over x ∈
-/// [q.lo(), q.hi()] in O(W) feasibility checks (W = perm.width()).
-/// Covers both shuffle families: a pre-XOR translation r becomes
-/// out_xor = perm.Apply(r) by GF(2)-linearity of the position
-/// permutation.
+/// [q.lo(), q.hi()] in O(d) block steps, d = the highest bit at which
+/// q.lo() and q.hi() differ. Covers both shuffle families: a pre-XOR
+/// translation r becomes out_xor = perm.Apply(r) by GF(2)-linearity of
+/// the position permutation.
 uint32_t MinPermutedOverRange(const BitPermutation& perm, uint32_t out_xor,
                               const Range& q);
-
-/// \brief Smallest x >= lo with (x & mask) == value, if any. The
-/// feasibility primitive of MinPermutedOverRange; exposed for its
-/// property tests.
-std::optional<uint32_t> NextMatchingPattern(uint32_t lo, uint32_t mask,
-                                            uint32_t value);
 
 }  // namespace p2prange
 

@@ -41,9 +41,10 @@ class RangeHashFunction {
 
   /// h(Q) = min over x in [lo, hi] of Permute(x). Families override
   /// this with exact sublinear kernels (hash/kernels.h): O(log p) for
-  /// linear permutations, O(W) for the bit-shuffles — bit-identical to
-  /// HashRangeNaive at every width, including the full 2³²-element
-  /// domain. The base implementation is the naive scan.
+  /// linear permutations, O(log of the span) for the bit-shuffles —
+  /// bit-identical to HashRangeNaive at every width, including the
+  /// full 2³²-element domain. The base implementation is the naive
+  /// scan.
   virtual uint32_t HashRange(const Range& q) const { return HashRangeNaive(q); }
 
   /// Reference O(|Q|) element-by-element scan — precisely the cost the

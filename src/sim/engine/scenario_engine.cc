@@ -230,11 +230,11 @@ bool ScenarioEngine::CopyValid(const StoredDesc& d, uint32_t at_slot) const {
          d.home_epoch == crash_epoch_[d.home];
 }
 
-void ScenarioEngine::PublishRange(const Range& r, uint32_t holder,
-                                  ScenarioReport* report) {
+void ScenarioEngine::PublishRange(const Range& r,
+                                  std::span<const uint32_t> identifiers,
+                                  uint32_t holder, ScenarioReport* report) {
   ++report->publishes;
-  lsh_->IdentifiersInto(r, &identifier_scratch_);
-  for (const uint32_t id : identifier_scratch_) {
+  for (const uint32_t id : identifiers) {
     int hops = 0;
     const uint32_t owner = net_->Route(holder, id, &hops);
     report->hops += static_cast<uint64_t>(hops);
@@ -335,8 +335,8 @@ void ScenarioEngine::RunQuery(ScenarioReport* report) {
   }
 
   // The paper's cache-on-miss rule: a non-exact answer publishes the
-  // queried range at its l identifier owners, holder = origin.
-  if (!exact) PublishRange(q, origin, report);
+  // queried range at the l identifiers just probed, holder = origin.
+  if (!exact) PublishRange(q, identifier_scratch_, origin, report);
 }
 
 void ScenarioEngine::Crash(uint32_t slot, ScenarioReport* report) {

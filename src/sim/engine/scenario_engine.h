@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -173,7 +174,9 @@ class ScenarioEngine {
   void Crash(uint32_t slot, ScenarioReport* report);
   void Recover(uint32_t slot, ScenarioReport* report);
   bool CopyValid(const StoredDesc& d, uint32_t at_slot) const;
-  void PublishRange(const Range& r, uint32_t holder, ScenarioReport* report);
+  /// Stores `r` under its already computed LSH `identifiers`.
+  void PublishRange(const Range& r, std::span<const uint32_t> identifiers,
+                    uint32_t holder, ScenarioReport* report);
 
   ScenarioConfig config_;
   std::unique_ptr<CompactOverlay> net_;

@@ -41,19 +41,13 @@ bool BucketStore::Insert(chord::ChordId id, const PartitionDescriptor& descripto
   recency_.push_front(Entry{id, descriptor});
   bucket.push_back(recency_.begin());
   index_.Insert(descriptor);
-  ++key_refs_[descriptor.key];
   EvictIfNeeded();
   return true;
 }
 
 void BucketStore::DropIndexReference(const PartitionKey& key) {
-  auto it = key_refs_.find(key);
-  DCHECK(it != key_refs_.end());
-  if (it == key_refs_.end()) return;
-  if (--it->second == 0) {
-    key_refs_.erase(it);
-    index_.Erase(key);
-  }
+  const bool indexed = index_.Erase(key);
+  DCHECK(indexed);
 }
 
 void BucketStore::EvictIfNeeded() {

@@ -122,7 +122,7 @@ class BucketStore {
   void EvictIfNeeded();
 
   /// Removes one (bucket, key) reference from the peer-wide index,
-  /// erasing the index entry when no bucket holds the key anymore.
+  /// which drops the entry when no bucket holds the key anymore.
   void DropIndexReference(const PartitionKey& key);
 
   size_t max_descriptors_;
@@ -134,7 +134,6 @@ class BucketStore {
   // §5.3 peer-wide index: one entry per distinct key, reference-counted
   // across buckets.
   IntervalIndex index_;
-  std::unordered_map<PartitionKey, size_t, PartitionKeyHash> key_refs_;
 };
 
 }  // namespace p2prange

@@ -7,7 +7,7 @@ namespace p2prange {
 void IntervalIndex::Column::Rebuild() const {
   sorted.clear();
   sorted.reserve(live.size());
-  for (const auto& [packed, d] : live) sorted.push_back(&d);
+  for (const auto& [packed, entry] : live) sorted.push_back(&entry.descriptor);
   std::sort(sorted.begin(), sorted.end(),
             [](const PartitionDescriptor* a, const PartitionDescriptor* b) {
               if (a->key.range.lo() != b->key.range.lo()) {
@@ -26,10 +26,12 @@ void IntervalIndex::Column::Rebuild() const {
 
 void IntervalIndex::Insert(const PartitionDescriptor& descriptor) {
   Column& col = columns_[ColumnKey(descriptor.key)];
-  auto [it, inserted] =
-      col.live.emplace(PackRange(descriptor.key.range), descriptor);
+  auto [it, inserted] = col.live.try_emplace(PackRange(descriptor.key.range),
+                                             Column::Live{descriptor});
+  ++it->second.refs;
   if (!inserted) {
-    it->second.holder = descriptor.holder;  // refresh, structure unchanged
+    // Refresh: adopt the new holder, structure unchanged.
+    it->second.descriptor.holder = descriptor.holder;
     return;
   }
   col.dirty = true;
@@ -39,7 +41,10 @@ void IntervalIndex::Insert(const PartitionDescriptor& descriptor) {
 bool IntervalIndex::Erase(const PartitionKey& key) {
   auto cit = columns_.find(ColumnKey(key));
   if (cit == columns_.end()) return false;
-  if (cit->second.live.erase(PackRange(key.range)) == 0) return false;
+  auto it = cit->second.live.find(PackRange(key.range));
+  if (it == cit->second.live.end()) return false;
+  if (--it->second.refs > 0) return true;
+  cit->second.live.erase(it);
   --size_;
   if (cit->second.live.empty()) {
     columns_.erase(cit);

@@ -24,10 +24,13 @@ namespace p2prange {
 /// queried by range overlap.
 class IntervalIndex {
  public:
-  /// Inserts or refreshes (same key: holder updated).
+  /// Adds one reference to `descriptor.key`: inserts the entry, or
+  /// refreshes the holder of the one already indexed. A store that
+  /// files one key under several buckets inserts it once per bucket.
   void Insert(const PartitionDescriptor& descriptor);
 
-  /// Removes by key; false if absent.
+  /// Drops one reference to `key`; the entry leaves the index with its
+  /// last reference. False if absent.
   bool Erase(const PartitionKey& key);
 
   /// Calls `fn` for every descriptor of `query`'s column whose range
@@ -42,13 +45,18 @@ class IntervalIndex {
   /// mutations.
   const PartitionDescriptor* AnyOfColumn(const PartitionKey& query) const;
 
+  /// Distinct keys indexed (not references).
   size_t size() const { return size_; }
   size_t num_columns() const { return columns_.size(); }
 
  private:
   struct Column {
+    struct Live {
+      PartitionDescriptor descriptor;
+      size_t refs = 0;
+    };
     // Live descriptors keyed by packed (lo, hi).
-    std::unordered_map<uint64_t, PartitionDescriptor> live;
+    std::unordered_map<uint64_t, Live> live;
     // Lazily rebuilt query structures, sorted by range start.
     mutable std::vector<const PartitionDescriptor*> sorted;
     mutable std::vector<uint32_t> prefix_max_hi;

@@ -55,6 +55,28 @@ TEST(BitPermutationTest, PositionMapIsAPermutation) {
   }
 }
 
+TEST(BitPermutationTest, BlockImagesMatchApply) {
+  Rng rng(5);
+  for (const int width : {8, 16, 32}) {
+    const BitShuffleKeys keys = BitShuffleKeys::Sample(width, rng);
+    for (int rounds = 1; rounds <= keys.num_levels(); ++rounds) {
+      const BitPermutation perm(keys, rounds);
+      for (int t = 0; t < 32; ++t) {
+        EXPECT_EQ(perm.bit_image(t), perm.Apply(1u << t))
+            << "width " << width << " rounds " << rounds << " t " << t;
+        EXPECT_EQ(perm.low_image(t), perm.Apply((1u << t) - 1))
+            << "width " << width << " rounds " << rounds << " t " << t;
+        // The range-min kernel relies on each in-width input bit moving
+        // exactly one output bit, disjoint from the bits below it.
+        if (t < width) {
+          EXPECT_EQ(perm.bit_image(t), 1u << perm.position_map()[t]);
+          EXPECT_EQ(perm.low_image(t) & perm.bit_image(t), 0u);
+        }
+      }
+    }
+  }
+}
+
 TEST(BitPermutationTest, TableMatchesNaiveReference) {
   Rng rng(4);
   for (int trial = 0; trial < 10; ++trial) {

@@ -2,16 +2,20 @@
 // kernels (hash/kernels.h): the kernels must be *bit-identical* to the
 // naive element-by-element scan, because LSH signatures — and with
 // them bucket placement and every reproduced figure — depend on exact
-// hash values. Property tests pin the primitives; fuzz-style seeded
-// sweeps pin kernel == naive over >= 10^5 random ranges per family,
-// including domain-edge ranges at lo = 0 and hi = 2^32 - 1.
+// hash values. Fuzz-style seeded sweeps pin kernel == naive over
+// >= 10^5 random ranges per family, including domain-edge ranges at
+// lo = 0 and hi = 2^32 - 1, plus the shapes the workloads and the
+// dyadic-block decomposition care about: ranges inside the paper's
+// [0, 1000] domain, singletons, and ranges straddling a power of two.
 #include "hash/kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <optional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/bit_utils.h"
@@ -24,73 +28,6 @@ namespace p2prange {
 namespace {
 
 constexpr uint32_t kDomainMax = std::numeric_limits<uint32_t>::max();
-
-// ---------------------------------------------------------------------------
-// NextMatchingPattern: the feasibility primitive of the GF(2) kernel.
-// ---------------------------------------------------------------------------
-
-// Brute-force oracle over the low 10-bit space.
-std::optional<uint32_t> NextMatchingPatternBrute(uint32_t lo, uint32_t mask,
-                                                 uint32_t value,
-                                                 uint32_t space = 1u << 10) {
-  for (uint32_t x = lo; x < space; ++x) {
-    if ((x & mask) == value) return x;
-  }
-  return std::nullopt;
-}
-
-TEST(NextMatchingPatternTest, MatchesBruteForceOnSmallSpace) {
-  Rng rng(101);
-  for (int trial = 0; trial < 20000; ++trial) {
-    const uint32_t lo = static_cast<uint32_t>(rng.NextBounded(1u << 10));
-    const uint32_t mask = static_cast<uint32_t>(rng.NextBounded(1u << 10));
-    const uint32_t value = static_cast<uint32_t>(rng.Next32()) & mask;
-    const auto got = NextMatchingPattern(lo, mask, value);
-    const auto want = NextMatchingPatternBrute(lo, mask, value);
-    if (want.has_value()) {
-      ASSERT_TRUE(got.has_value()) << "lo=" << lo << " mask=" << mask
-                                   << " value=" << value;
-      EXPECT_EQ(*got, *want) << "lo=" << lo << " mask=" << mask
-                             << " value=" << value;
-    } else if (got.has_value()) {
-      // The oracle's space is truncated at 2^10; a result above it is
-      // fine as long as it actually matches the pattern and bound.
-      EXPECT_GE(*got, 1u << 10);
-      EXPECT_EQ(*got & mask, value);
-    }
-  }
-}
-
-TEST(NextMatchingPatternTest, DomainEdges) {
-  // Fully constrained: the only candidate is `value` itself.
-  EXPECT_EQ(NextMatchingPattern(0, kDomainMax, 123u), 123u);
-  EXPECT_EQ(NextMatchingPattern(124u, kDomainMax, 123u), std::nullopt);
-  // Unconstrained: the next value is lo itself, at both extremes.
-  EXPECT_EQ(NextMatchingPattern(0, 0, 0), 0u);
-  EXPECT_EQ(NextMatchingPattern(kDomainMax, 0, 0), kDomainMax);
-  // Top bit forced to 0 while lo has it set: infeasible.
-  EXPECT_EQ(NextMatchingPattern(0x80000000u, 0x80000000u, 0), std::nullopt);
-  // Top bit forced to 1 below lo: jump to the bit, clear the rest.
-  EXPECT_EQ(NextMatchingPattern(5u, 0x80000000u, 0x80000000u), 0x80000000u);
-}
-
-TEST(NextMatchingPatternTest, ResultAlwaysValidOn32BitSamples) {
-  Rng rng(103);
-  for (int trial = 0; trial < 20000; ++trial) {
-    const uint32_t lo = rng.Next32();
-    const uint32_t mask = rng.Next32();
-    const uint32_t value = rng.Next32() & mask;
-    const auto got = NextMatchingPattern(lo, mask, value);
-    if (!got.has_value()) continue;
-    EXPECT_GE(*got, lo);
-    EXPECT_EQ(*got & mask, value);
-    // Minimality: no smaller match in [lo, got). Spot-check got-1 and
-    // the pattern-cleared prefix instead of scanning (space is 2^32).
-    if (*got > lo) {
-      EXPECT_NE((*got - 1) & mask, value);
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Differential sweeps: kernel == naive, >= 10^5 random ranges/family.
@@ -153,8 +90,72 @@ TEST_P(KernelSweepTest, KernelMatchesNaiveOver100kRandomRanges) {
   }
 }
 
+// The paper workload's ranges: uniform endpoint pairs in [0, 1000].
+TEST_P(KernelSweepTest, KernelMatchesNaiveOnPaperDomain) {
+  const SweepCase& c = GetParam();
+  std::unique_ptr<RangeHashFunction> fn;
+  Rng rng(0x1000 ^ static_cast<uint64_t>(c.family) ^ c.pre_xor);
+  for (int i = 0; i < 20000; ++i) {
+    if (i % 1000 == 0) {
+      fn = MakeHashFunction(c.family, rng, c.pre_xor, c.linear_prime);
+    }
+    uint32_t a = static_cast<uint32_t>(rng.NextBounded(1001));
+    uint32_t b = static_cast<uint32_t>(rng.NextBounded(1001));
+    if (a > b) std::swap(a, b);
+    const Range q(a, b);
+    ASSERT_EQ(fn->HashRange(q), fn->HashRangeNaive(q)) << "q=" << q.ToString();
+  }
+}
+
+// lo == hi: no block below the highest differing bit, only the
+// endpoint itself.
+TEST_P(KernelSweepTest, KernelMatchesNaiveOnSingletons) {
+  const SweepCase& c = GetParam();
+  std::unique_ptr<RangeHashFunction> fn;
+  Rng rng(0x5151 ^ static_cast<uint64_t>(c.family) ^ c.pre_xor);
+  for (int i = 0; i < 20000; ++i) {
+    if (i % 1000 == 0) {
+      fn = MakeHashFunction(c.family, rng, c.pre_xor, c.linear_prime);
+    }
+    const uint32_t x = i % 2 == 0 ? static_cast<uint32_t>(rng.NextBounded(1001))
+                                  : rng.Next32();
+    const Range q(x, x);
+    ASSERT_EQ(fn->HashRange(q), fn->HashRangeNaive(q)) << "q=" << q.ToString();
+  }
+  for (const uint32_t x : {0u, 1u, kDomainMax - 1, kDomainMax}) {
+    ASSERT_EQ(fn->HashRange(Range(x, x)), fn->Permute(x)) << x;
+  }
+}
+
+// Ranges whose ends straddle 2^b put the highest differing bit at b
+// with both halves partial, and aligned blocks [m·2^t, (m+1)·2^t − 1]
+// are a single dyadic block: the decomposition's two extremes.
+TEST_P(KernelSweepTest, KernelMatchesNaiveAcrossPowersOfTwo) {
+  const SweepCase& c = GetParam();
+  std::unique_ptr<RangeHashFunction> fn;
+  Rng rng(0x2222 ^ static_cast<uint64_t>(c.family) ^ c.pre_xor);
+  for (int b = 1; b < 32; ++b) {
+    fn = MakeHashFunction(c.family, rng, c.pre_xor, c.linear_prime);
+    const uint32_t pivot = 1u << b;
+    const uint32_t reach = std::min<uint32_t>(pivot, 300);
+    for (int i = 0; i < 200; ++i) {
+      const uint32_t below = static_cast<uint32_t>(rng.NextInRange(1, reach));
+      const uint32_t above = static_cast<uint32_t>(rng.NextInRange(1, reach));
+      const Range q(pivot - below, pivot + above - 1);
+      ASSERT_EQ(fn->HashRange(q), fn->HashRangeNaive(q)) << "q=" << q.ToString();
+    }
+    for (int t = 0; t <= std::min(b, 10); ++t) {
+      const uint32_t size = 1u << t;
+      for (const Range& q : {Range(pivot - size, pivot - 1),
+                             Range(pivot, pivot + size - 1)}) {
+        ASSERT_EQ(fn->HashRange(q), fn->HashRangeNaive(q)) << "q=" << q.ToString();
+      }
+    }
+  }
+}
+
 // Medium widths probe deeper recursion levels of the linear kernel and
-// longer prefix descents of the GF(2) kernel.
+// longer block decompositions of the GF(2) kernel.
 TEST_P(KernelSweepTest, KernelMatchesNaiveOnMediumWidths) {
   const SweepCase& c = GetParam();
   Rng rng(0xBEEF ^ static_cast<uint64_t>(c.family));

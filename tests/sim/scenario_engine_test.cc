@@ -148,6 +148,28 @@ TEST(ScenarioEngineTest, DeterministicUnderSeed) {
   EXPECT_GT(ra->queries, 0u);
 }
 
+// Pins one seeded report. The cache-on-miss publish reuses the
+// identifiers the lookup probed, so it must report exactly what hashing
+// the range a second time did. The hotspot shape on a small domain
+// mixes exact hits (no publish) with approximate hits and misses, and
+// churn adds stale evictions.
+TEST(ScenarioEngineTest, SeededReportIsPinned) {
+  ScenarioConfig config = SmallConfig(overlay::Kind::kChord, ChurnMode::kChurn,
+                                      WorkloadShape::kHotspot);
+  config.domain = 1000;
+  auto engine = ScenarioEngine::Make(config);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  auto report = engine->Run();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_DOUBLE_EQ(report->recall_sum, 520.81254938177506);
+  EXPECT_EQ(report->hops, 27672u);
+  EXPECT_EQ(report->messages, 38247u);
+  EXPECT_EQ(report->descriptors_stored, 7575u);
+  EXPECT_EQ(report->publishes, 505u);
+  EXPECT_EQ(report->exact_hits, 95u);
+  EXPECT_EQ(report->stale_evictions, 36u);
+}
+
 class ScenarioChurnTest : public ::testing::TestWithParam<overlay::Kind> {};
 
 TEST_P(ScenarioChurnTest, NonzeroRecallUnderChurn) {

@@ -71,6 +71,32 @@ TEST(IntervalIndexTest, InsertRefreshUpdatesHolder) {
   EXPECT_EQ(any->holder.port, 9u);
 }
 
+TEST(IntervalIndexTest, KeyInTwoBucketsSurvivesOneErase) {
+  // A store files one key under each bucket that holds it; the entry
+  // must outlive every reference but the last.
+  IntervalIndex index;
+  index.Insert(Desc(0, 10, 1));
+  index.Insert(Desc(0, 10, 1));
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_TRUE(index.Erase(Key(0, 10)));
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(Overlapping(index, Key(5, 6)).size(), 1u);
+  EXPECT_TRUE(index.Erase(Key(0, 10)));
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_TRUE(Overlapping(index, Key(5, 6)).empty());
+  EXPECT_FALSE(index.Erase(Key(0, 10)));
+}
+
+TEST(IntervalIndexTest, RefreshUpdatesHolderOfSurvivingEntry) {
+  IntervalIndex index;
+  index.Insert(Desc(0, 10, 1));
+  index.Insert(Desc(0, 10, 9));  // second reference, new holder
+  EXPECT_TRUE(index.Erase(Key(0, 10)));
+  const PartitionDescriptor* any = index.AnyOfColumn(Key(0, 10));
+  ASSERT_NE(any, nullptr);
+  EXPECT_EQ(any->holder.port, 9u);
+}
+
 TEST(IntervalIndexTest, EraseRemovesAndCleansColumns) {
   IntervalIndex index;
   index.Insert(Desc(0, 10));
@@ -97,7 +123,10 @@ TEST(IntervalIndexTest, MutateBetweenQueries) {
 TEST(IntervalIndexTest, DifferentialAgainstBruteForce) {
   Rng rng(77);
   IntervalIndex index;
+  // Shadow set is keyed by range too, with the reference count each
+  // key has in the index.
   std::vector<PartitionDescriptor> shadow;
+  std::vector<int> shadow_refs;
   for (int step = 0; step < 2000; ++step) {
     const int op = static_cast<int>(rng.NextBounded(10));
     if (op < 6 || shadow.empty()) {
@@ -105,16 +134,23 @@ TEST(IntervalIndexTest, DifferentialAgainstBruteForce) {
       const uint32_t hi = lo + static_cast<uint32_t>(rng.NextBounded(200));
       const PartitionDescriptor d = Desc(lo, hi);
       index.Insert(d);
-      // Shadow set is keyed by range too.
       auto it = std::find_if(shadow.begin(), shadow.end(),
                              [&](const PartitionDescriptor& s) {
                                return s.key == d.key;
                              });
-      if (it == shadow.end()) shadow.push_back(d);
+      if (it == shadow.end()) {
+        shadow.push_back(d);
+        shadow_refs.push_back(1);
+      } else {
+        ++shadow_refs[static_cast<size_t>(it - shadow.begin())];
+      }
     } else if (op < 8) {
       const size_t victim = rng.NextBounded(shadow.size());
       EXPECT_TRUE(index.Erase(shadow[victim].key));
-      shadow.erase(shadow.begin() + static_cast<long>(victim));
+      if (--shadow_refs[victim] == 0) {
+        shadow.erase(shadow.begin() + static_cast<long>(victim));
+        shadow_refs.erase(shadow_refs.begin() + static_cast<long>(victim));
+      }
     } else {
       const uint32_t lo = static_cast<uint32_t>(rng.NextBounded(1100));
       const uint32_t hi = lo + static_cast<uint32_t>(rng.NextBounded(300));
