@@ -24,19 +24,15 @@
 // on stdout, checked in as BENCH_chaos.json; stderr carries progress.
 //
 //   ablation_chaos [phase_duration_s] [--smoke]
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,6 +42,7 @@
 #include "rel/generator.h"
 #include "rpc/ring_client.h"
 #include "rpc/tcp.h"
+#include "tools/live_process.h"
 #include "workload/range_workload.h"
 
 namespace p2prange {
@@ -61,109 +58,11 @@ constexpr size_t kNodes = 5;
 constexpr size_t kPublishes = 40;
 constexpr size_t kLorisSockets = 8;
 
-NetAddress HostAddr(uint32_t host, uint16_t port) {
-  NetAddress a;
-  a.host = host;
-  a.port = port;
-  return a;
-}
-
 /// Daemon i listens on 127.0.1.<i+1>; the proxy (and the client) live
 /// on 127.0.0.1. Distinct source hosts are how the proxy tells links
 /// apart.
 NetAddress NodeHost(size_t index, uint16_t port) {
-  return HostAddr(0x7F000100u + static_cast<uint32_t>(index + 1), port);
-}
-
-NetAddress ClientHost(uint16_t port) { return HostAddr(0x7F000001u, port); }
-
-std::string BinaryNextToBench(const char* name) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const fs::path candidate =
-      fs::path(buf).parent_path().parent_path() / "tools" / name;
-  return fs::exists(candidate) ? candidate.string() : "";
-}
-
-NetAddress ReservePortOn(const NetAddress& host) {
-  auto sock = rpc::Listen(host);
-  CHECK(sock.ok()) << sock.status();
-  const NetAddress bound = sock->bound;
-  ::close(sock->fd);
-  return bound;
-}
-
-/// One forked child (daemon or proxy); destroyed = SIGKILLed, reaped.
-class Child {
- public:
-  Child(const std::string& binary, std::vector<std::string> args) {
-    args.insert(args.begin(), binary);
-    std::vector<char*> argv;
-    for (std::string& s : args) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);
-    }
-  }
-
-  ~Child() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-  }
-
-  Child(const Child&) = delete;
-  Child& operator=(const Child&) = delete;
-
-  void Signal(int signo) const { ::kill(pid_, signo); }
-
-  /// SIGTERM and reap; true iff it exited 0 within ~10s.
-  bool Terminate() {
-    if (pid_ <= 0) return false;
-    ::kill(pid_, SIGTERM);
-    for (int i = 0; i < 200; ++i) {
-      int status = 0;
-      if (::waitpid(pid_, &status, WNOHANG) == pid_) {
-        pid_ = -1;
-        return WIFEXITED(status) && WEXITSTATUS(status) == 0;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    return false;
-  }
-
- private:
-  pid_t pid_ = -1;
-};
-
-void WriteFileAtomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    out << content;
-  }
-  CHECK(std::rename(tmp.c_str(), path.c_str()) == 0) << "rename " << path;
-}
-
-/// Sums every `"key":<integer>` in a flat JSON metrics file.
-uint64_t SumJsonCounter(const std::string& path, const std::string& key) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::string needle = "\"" + key + "\":";
-  uint64_t sum = 0;
-  for (size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + needle.size())) {
-    sum += std::strtoull(text.c_str() + pos + needle.size(), nullptr, 10);
-  }
-  return sum;
+  return live::HostAddr(0x7F000100u + static_cast<uint32_t>(index + 1), port);
 }
 
 rpc::RingClientOptions ClientOptions() {
@@ -177,22 +76,7 @@ rpc::RingClientOptions ClientOptions() {
   return options;
 }
 
-bool AwaitPing(rpc::RingClient& client, const NetAddress& member) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    if (client.Ping(member).ok()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
-}
-
-bool AwaitViewSize(rpc::RingClient& client, size_t expected) {
-  for (int attempt = 0; attempt < 600; ++attempt) {
-    client.RefreshView().IgnoreError();
-    if (client.view().size() == expected) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
-}
+constexpr std::chrono::seconds kConvergeTimeout{30};
 
 struct Phase {
   std::string name;
@@ -272,14 +156,15 @@ int main(int argc, char** argv) {
   using namespace p2prange;
   using namespace p2prange::bench;
 
-  const std::string node_binary = BinaryNextToBench("p2prange_node");
-  const std::string proxy_binary = BinaryNextToBench("p2prange_chaosproxy");
+  const std::string node_binary = live::ToolBinary("p2prange_node");
+  const std::string proxy_binary = live::ToolBinary("p2prange_chaosproxy");
   if (node_binary.empty() || proxy_binary.empty()) {
     std::fprintf(stderr, "p2prange_node/p2prange_chaosproxy not found\n");
     return 1;
   }
-  std::string scratch = fs::temp_directory_path() / "chaos_bench_XXXXXX";
-  if (::mkdtemp(scratch.data()) == nullptr) {
+  const std::string scratch =
+      live::MakeScratchDir(fs::temp_directory_path() / "chaos_bench_");
+  if (scratch.empty()) {
     std::fprintf(stderr, "mkdtemp failed\n");
     return 1;
   }
@@ -289,34 +174,27 @@ int main(int argc, char** argv) {
   // --- Topology: proxy in front of every link -------------------------
   const std::string plan_path = scratch + "/plan.chaos";
   const std::string proxy_metrics = scratch + "/proxy_metrics.json";
-  WriteFileAtomic(plan_path, "# clean\n");
+  CHECK(live::WriteFileAtomic(plan_path, "# clean\n"));
   std::vector<NetAddress> real, advertised;
   for (size_t i = 0; i < kNodes; ++i) {
-    real.push_back(ReservePortOn(NodeHost(i, 0)));
-    advertised.push_back(ReservePortOn(ClientHost(0)));
+    real.push_back(live::ReservePort(NodeHost(i, 0)));
+    advertised.push_back(live::ReservePort());
   }
-  auto join_comma = [](const std::vector<NetAddress>& addrs) {
-    std::string out;
-    for (const NetAddress& a : addrs) {
-      if (!out.empty()) out += ",";
-      out += a.ToString();
-    }
-    return out;
-  };
-  Child proxy(proxy_binary, {
-                                "--listen=" + join_comma(advertised),
-                                "--upstream=" + join_comma(real),
-                                "--plan=" + plan_path,
-                                "--metrics_json=" + proxy_metrics,
-                                "--seed=42",
-                                "--quiet",
-                            });
+  live::ChildProcess proxy(proxy_binary,
+                           {
+                               "--listen=" + live::JoinAddresses(advertised),
+                               "--upstream=" + live::JoinAddresses(real),
+                               "--plan=" + plan_path,
+                               "--metrics_json=" + proxy_metrics,
+                               "--seed=42",
+                               "--quiet",
+                           });
   auto replan = [&](const std::string& rules) {
-    WriteFileAtomic(plan_path, rules);
+    CHECK(live::WriteFileAtomic(plan_path, rules)) << "rewrite " << plan_path;
     proxy.Signal(SIGHUP);
   };
 
-  std::vector<std::unique_ptr<Child>> daemons;
+  std::vector<std::unique_ptr<live::ChildProcess>> daemons;
   std::vector<std::string> metrics;
   for (size_t i = 0; i < kNodes; ++i) {
     const std::string dir = scratch + "/n" + std::to_string(i);
@@ -344,16 +222,18 @@ int main(int argc, char** argv) {
         "--quiet",
     };
     if (i > 0) args.push_back("--join=" + advertised[0].ToString());
-    daemons.push_back(std::make_unique<Child>(node_binary, args));
+    daemons.push_back(std::make_unique<live::ChildProcess>(node_binary, args));
   }
 
   auto client_result = rpc::RingClient::Make(advertised, ClientOptions());
   CHECK(client_result.ok()) << client_result.status();
   rpc::RingClient& client = **client_result;
   for (const NetAddress& a : advertised) {
-    CHECK(AwaitPing(client, a)) << "daemon " << a.ToString() << " never up";
+    CHECK(live::AwaitPing(client, a))
+        << "daemon " << a.ToString() << " never up";
   }
-  CHECK(AwaitViewSize(client, kNodes)) << "initial ring never converged";
+  CHECK(live::AwaitViewSize(client, kNodes, kConvergeTimeout))
+      << "initial ring never converged";
 
   UniformRangeGenerator gen(kDomainLo, kDomainHi, kSeed);
   for (size_t i = 0; i < kPublishes; ++i) {
@@ -378,7 +258,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "phase heal...\n");
   replan("# healed\n");
   const auto heal_t0 = std::chrono::steady_clock::now();
-  const bool reconverged = AwaitViewSize(client, kNodes);
+  const bool reconverged = live::AwaitViewSize(client, kNodes, kConvergeTimeout);
   const double heal_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - heal_t0)
@@ -406,7 +286,7 @@ int main(int argc, char** argv) {
        ++attempt) {
     idle_closed = 0;
     for (const std::string& m : metrics) {
-      idle_closed += SumJsonCounter(m, "idle_closed");
+      idle_closed += live::SumJsonCounter(m, "idle_closed");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
@@ -430,12 +310,13 @@ int main(int argc, char** argv) {
   phases.push_back(RunPhase(client, "corrupt", duration_s));
   phases.back().extra_key = "segments_corrupted";
   phases.back().extra_value =
-      static_cast<double>(SumJsonCounter(proxy_metrics, "segments_corrupted"));
+      static_cast<double>(live::SumJsonCounter(proxy_metrics, "segments_corrupted"));
 
   // --- recovery --------------------------------------------------------
   std::fprintf(stderr, "phase recovery...\n");
   replan("# healed\n");
-  CHECK(AwaitViewSize(client, kNodes)) << "view degraded under corruption";
+  CHECK(live::AwaitViewSize(client, kNodes, kConvergeTimeout))
+      << "view degraded under corruption";
   // Recall must climb back to the clean baseline before the phase is
   // measured — convergence, not instant repair, is the contract.
   for (int attempt = 0; attempt < 200; ++attempt) {

@@ -18,10 +18,6 @@
 // number is tracked across changes. stderr carries progress lines.
 //
 //   ablation_live_churn [duration_s] [--smoke]
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -35,7 +31,7 @@
 #include "common/random.h"
 #include "rel/generator.h"
 #include "rpc/ring_client.h"
-#include "rpc/tcp.h"
+#include "tools/live_process.h"
 #include "sim/churn_sim.h"
 #include "workload/range_workload.h"
 
@@ -51,96 +47,23 @@ constexpr int64_t kDomainHi = 1000;
 constexpr size_t kPublishes = 24;
 constexpr size_t kRecallQueries = 16;
 
-NetAddress Loopback(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;
-  a.port = port;
-  return a;
+/// One ring member with this bench's membership timers.
+std::unique_ptr<live::NodeProcess> StartDaemon(const std::string& binary,
+                                               const NetAddress& addr,
+                                               const std::string& wal_dir,
+                                               const std::string& join) {
+  std::vector<std::string> flags = {
+      "--replication=2",
+      "--probe_ms=100",
+      "--gossip_ms=100",
+      "--stabilize_ms=100",
+      "--probe_timeout_ms=300",
+      "--quiet",
+  };
+  if (!join.empty()) flags.push_back("--join=" + join);
+  return std::make_unique<live::NodeProcess>(binary, addr, wal_dir,
+                                             std::move(flags));
 }
-
-std::string NodeBinary() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const fs::path candidate =
-      fs::path(buf).parent_path().parent_path() / "tools" / "p2prange_node";
-  return fs::exists(candidate) ? candidate.string() : "";
-}
-
-NetAddress ReservePort() {
-  auto sock = rpc::Listen(Loopback(0));
-  CHECK(sock.ok()) << sock.status();
-  const NetAddress bound = sock->bound;
-  ::close(sock->fd);
-  return bound;
-}
-
-/// One daemon process; destroyed = SIGKILLed and reaped.
-class Daemon {
- public:
-  Daemon(const std::string& binary, const NetAddress& addr,
-         const std::string& wal_dir, const std::string& join) {
-    addr_ = addr;
-    wal_dir_ = wal_dir;
-    std::vector<std::string> argv_store = {
-        binary,
-        "--listen=" + addr.ToString(),
-        "--wal_dir=" + wal_dir,
-        "--replication=2",
-        "--probe_ms=100",
-        "--gossip_ms=100",
-        "--stabilize_ms=100",
-        "--probe_timeout_ms=300",
-        "--quiet",
-    };
-    if (!join.empty()) argv_store.push_back("--join=" + join);
-    std::vector<char*> argv;
-    for (std::string& s : argv_store) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);
-    }
-  }
-
-  ~Daemon() { Kill(); }
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-
-  const NetAddress& address() const { return addr_; }
-  const std::string& wal_dir() const { return wal_dir_; }
-
-  void Kill() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-
-  /// SIGTERM and reap; true iff the daemon exited 0 within ~10s.
-  bool Terminate() {
-    if (pid_ <= 0) return false;
-    ::kill(pid_, SIGTERM);
-    for (int i = 0; i < 200; ++i) {
-      int status = 0;
-      if (::waitpid(pid_, &status, WNOHANG) == pid_) {
-        pid_ = -1;
-        return WIFEXITED(status) && WEXITSTATUS(status) == 0;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    Kill();
-    return false;
-  }
-
- private:
-  pid_t pid_ = -1;
-  NetAddress addr_;
-  std::string wal_dir_;
-};
 
 rpc::RingClientOptions ClientOptions() {
   rpc::RingClientOptions options;
@@ -153,23 +76,7 @@ rpc::RingClientOptions ClientOptions() {
   return options;
 }
 
-bool AwaitPing(rpc::RingClient& client, const NetAddress& member) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    if (client.Ping(member).ok()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
-}
-
-bool AwaitViewSize(rpc::RingClient& client, size_t expected) {
-  for (int attempt = 0; attempt < 300; ++attempt) {
-    if (client.RefreshView().ok() && client.view().size() == expected) {
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
-}
+constexpr std::chrono::seconds kConvergeTimeout{15};
 
 /// The fixed recall batch: the same draws every call, comparable
 /// across phases and churn rates.
@@ -210,21 +117,22 @@ RunResult RunOne(const std::string& binary, const std::string& scratch,
   };
 
   // Boot a 3-member ring grown by joins, then seed it.
-  std::vector<std::unique_ptr<Daemon>> daemons;
-  daemons.push_back(
-      std::make_unique<Daemon>(binary, ReservePort(), wal("n0"), ""));
+  std::vector<std::unique_ptr<live::NodeProcess>> daemons;
+  daemons.push_back(StartDaemon(binary, live::ReservePort(), wal("n0"), ""));
   const std::string bootstrap = daemons[0]->address().ToString();
   auto client_result =
       rpc::RingClient::Make({daemons[0]->address()}, ClientOptions());
   CHECK(client_result.ok()) << client_result.status();
   rpc::RingClient& client = **client_result;
-  CHECK(AwaitPing(client, daemons[0]->address())) << "bootstrap never came up";
+  CHECK(live::AwaitPing(client, daemons[0]->address()))
+      << "bootstrap never came up";
   for (int i = 1; i < 3; ++i) {
-    daemons.push_back(std::make_unique<Daemon>(
-        binary, ReservePort(), wal("n" + std::to_string(i)), bootstrap));
-    CHECK(AwaitPing(client, daemons.back()->address()));
+    daemons.push_back(StartDaemon(binary, live::ReservePort(),
+                                  wal("n" + std::to_string(i)), bootstrap));
+    CHECK(live::AwaitPing(client, daemons.back()->address()));
   }
-  CHECK(AwaitViewSize(client, 3)) << "initial ring never converged";
+  CHECK(live::AwaitViewSize(client, 3, kConvergeTimeout))
+      << "initial ring never converged";
 
   UniformRangeGenerator gen(kDomainLo, kDomainHi, kSeed);
   for (size_t i = 0; i < kPublishes; ++i) {
@@ -263,9 +171,9 @@ RunResult RunOne(const std::string& binary, const std::string& scratch,
           daemons.size() > 1 ? 1 + victims.NextBounded(daemons.size() - 1) : 0;
       switch (ev.kind) {
         case LiveChurnEventKind::kJoin: {
-          daemons.push_back(std::make_unique<Daemon>(
-              binary, ReservePort(), wal("j" + std::to_string(spawned++)),
-              bootstrap));
+          daemons.push_back(StartDaemon(binary, live::ReservePort(),
+                                        wal("j" + std::to_string(spawned++)),
+                                        bootstrap));
           ++run.joins;
           break;
         }
@@ -289,8 +197,7 @@ RunResult RunOne(const std::string& binary, const std::string& scratch,
           const std::string dir = daemons[victim]->wal_dir();
           if (!daemons[victim]->Terminate()) run.shutdown_clean = false;
           client.transport().Disconnect(addr);
-          daemons[victim] =
-              std::make_unique<Daemon>(binary, addr, dir, bootstrap);
+          daemons[victim] = StartDaemon(binary, addr, dir, bootstrap);
           ++run.restarts;
           break;
         }
@@ -321,7 +228,8 @@ RunResult RunOne(const std::string& binary, const std::string& scratch,
       answered == 0 ? 0.0 : run.recall_during / static_cast<double>(answered);
 
   // Let the ring re-converge, then take the final recall.
-  CHECK(AwaitViewSize(client, daemons.size())) << "ring never re-converged";
+  CHECK(live::AwaitViewSize(client, daemons.size(), kConvergeTimeout))
+      << "ring never re-converged";
   for (int attempt = 0; attempt < 100; ++attempt) {
     run.recall_final = RecallBatch(client);
     if (run.recall_final >= run.recall_baseline - 0.02) break;
@@ -367,13 +275,14 @@ int main(int argc, char** argv) {
   using namespace p2prange;
   using namespace p2prange::bench;
 
-  const std::string binary = NodeBinary();
+  const std::string binary = live::ToolBinary("p2prange_node");
   if (binary.empty()) {
     std::fprintf(stderr, "p2prange_node not found next to this bench\n");
     return 1;
   }
-  std::string scratch = fs::temp_directory_path() / "live_churn_bench_XXXXXX";
-  if (::mkdtemp(scratch.data()) == nullptr) {
+  const std::string scratch =
+      live::MakeScratchDir(fs::temp_directory_path() / "live_churn_bench_");
+  if (scratch.empty()) {
     std::fprintf(stderr, "mkdtemp failed\n");
     return 1;
   }

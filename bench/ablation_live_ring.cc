@@ -33,10 +33,6 @@
 // across changes. stderr carries progress lines.
 //
 //   ablation_live_ring [duration_s] [--smoke]
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -52,7 +48,7 @@
 #include "rel/generator.h"
 #include "rpc/multi_op.h"
 #include "rpc/ring_client.h"
-#include "rpc/tcp.h"
+#include "tools/live_process.h"
 #include "workload/range_workload.h"
 
 namespace p2prange {
@@ -69,96 +65,27 @@ constexpr int64_t kDomainLo = 0;
 constexpr int64_t kDomainHi = 240;
 constexpr size_t kRingSize = 5;
 
-NetAddress Loopback(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;
-  a.port = port;
-  return a;
+/// One ring member with this bench's membership timers.
+std::unique_ptr<live::NodeProcess> StartDaemon(const std::string& binary,
+                                               const NetAddress& addr,
+                                               const std::string& wal_dir,
+                                               const std::string& join,
+                                               int workers,
+                                               size_t queue_depth) {
+  std::vector<std::string> flags = {
+      "--replication=2",
+      "--workers=" + std::to_string(workers),
+      "--queue_depth=" + std::to_string(queue_depth),
+      "--probe_ms=200",
+      "--gossip_ms=200",
+      "--stabilize_ms=200",
+      "--probe_timeout_ms=500",
+      "--quiet",
+  };
+  if (!join.empty()) flags.push_back("--join=" + join);
+  return std::make_unique<live::NodeProcess>(binary, addr, wal_dir,
+                                             std::move(flags));
 }
-
-std::string NodeBinary() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const fs::path candidate =
-      fs::path(buf).parent_path().parent_path() / "tools" / "p2prange_node";
-  return fs::exists(candidate) ? candidate.string() : "";
-}
-
-NetAddress ReservePort() {
-  auto sock = rpc::Listen(Loopback(0));
-  CHECK(sock.ok()) << sock.status();
-  const NetAddress bound = sock->bound;
-  ::close(sock->fd);
-  return bound;
-}
-
-/// One daemon process; destroyed = SIGKILLed and reaped.
-class Daemon {
- public:
-  Daemon(const std::string& binary, const NetAddress& addr,
-         const std::string& wal_dir, const std::string& join, int workers,
-         size_t queue_depth) {
-    addr_ = addr;
-    std::vector<std::string> argv_store = {
-        binary,
-        "--listen=" + addr.ToString(),
-        "--wal_dir=" + wal_dir,
-        "--replication=2",
-        "--workers=" + std::to_string(workers),
-        "--queue_depth=" + std::to_string(queue_depth),
-        "--probe_ms=200",
-        "--gossip_ms=200",
-        "--stabilize_ms=200",
-        "--probe_timeout_ms=500",
-        "--quiet",
-    };
-    if (!join.empty()) argv_store.push_back("--join=" + join);
-    std::vector<char*> argv;
-    for (std::string& s : argv_store) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);
-    }
-  }
-
-  ~Daemon() { Kill(); }
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-
-  const NetAddress& address() const { return addr_; }
-
-  void Kill() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-
-  /// SIGTERM and reap; true iff the daemon exited 0 within ~10s.
-  bool Terminate() {
-    if (pid_ <= 0) return false;
-    ::kill(pid_, SIGTERM);
-    for (int i = 0; i < 200; ++i) {
-      int status = 0;
-      if (::waitpid(pid_, &status, WNOHANG) == pid_) {
-        pid_ = -1;
-        return WIFEXITED(status) && WEXITSTATUS(status) == 0;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    Kill();
-    return false;
-  }
-
- private:
-  pid_t pid_ = -1;
-  NetAddress addr_;
-};
 
 rpc::RingClientOptions ClientOptions(bool batch) {
   rpc::RingClientOptions options;
@@ -172,23 +99,7 @@ rpc::RingClientOptions ClientOptions(bool batch) {
   return options;
 }
 
-bool AwaitPing(rpc::RingClient& client, const NetAddress& member) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    if (client.Ping(member).ok()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
-}
-
-bool AwaitViewSize(rpc::RingClient& client, size_t expected) {
-  for (int attempt = 0; attempt < 300; ++attempt) {
-    if (client.RefreshView().ok() && client.view().size() == expected) {
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
-}
+constexpr std::chrono::seconds kConvergeTimeout{15};
 
 double Percentile(std::vector<double>* sorted_in_place, double p) {
   if (sorted_in_place->empty()) return 0.0;
@@ -239,23 +150,23 @@ LoopResult RunClosedLoop(const std::string& binary, const std::string& scratch,
   };
 
   // Boot the 5-member ring grown by joins.
-  std::vector<std::unique_ptr<Daemon>> daemons;
-  daemons.push_back(std::make_unique<Daemon>(binary, ReservePort(), wal("n0"),
-                                             "", config.workers,
-                                             config.queue_depth));
+  std::vector<std::unique_ptr<live::NodeProcess>> daemons;
+  daemons.push_back(StartDaemon(binary, live::ReservePort(), wal("n0"), "",
+                                config.workers, config.queue_depth));
   const std::string bootstrap = daemons[0]->address().ToString();
   auto control = rpc::RingClient::Make({daemons[0]->address()},
                                        ClientOptions(config.batch));
   CHECK(control.ok()) << control.status();
-  CHECK(AwaitPing(**control, daemons[0]->address()))
+  CHECK(live::AwaitPing(**control, daemons[0]->address()))
       << "bootstrap never came up";
   for (size_t i = 1; i < kRingSize; ++i) {
-    daemons.push_back(std::make_unique<Daemon>(
-        binary, ReservePort(), wal("n" + std::to_string(i)), bootstrap,
-        config.workers, config.queue_depth));
-    CHECK(AwaitPing(**control, daemons.back()->address()));
+    daemons.push_back(StartDaemon(binary, live::ReservePort(),
+                                  wal("n" + std::to_string(i)), bootstrap,
+                                  config.workers, config.queue_depth));
+    CHECK(live::AwaitPing(**control, daemons.back()->address()));
   }
-  CHECK(AwaitViewSize(**control, kRingSize)) << "ring never converged";
+  CHECK(live::AwaitViewSize(**control, kRingSize, kConvergeTimeout))
+      << "ring never converged";
 
   // Seed the corpus.
   UniformRangeGenerator gen(kDomainLo, kDomainHi, kSeed);
@@ -395,12 +306,13 @@ OverloadResult RunOverload(const std::string& binary,
 
   // One daemon with a deliberately tiny queue: two workers, four
   // slots. The burst below outruns them by construction.
-  Daemon daemon(binary, ReservePort(), dir, "", /*workers=*/2,
-                /*queue_depth=*/4);
-  auto control = rpc::RingClient::Make({daemon.address()},
+  const auto daemon = StartDaemon(binary, live::ReservePort(), dir, "",
+                                  /*workers=*/2, /*queue_depth=*/4);
+  auto control = rpc::RingClient::Make({daemon->address()},
                                        ClientOptions(/*batch=*/false));
   CHECK(control.ok()) << control.status();
-  CHECK(AwaitPing(**control, daemon.address())) << "daemon never came up";
+  CHECK(live::AwaitPing(**control, daemon->address()))
+      << "daemon never came up";
 
   // One fat bucket: every probe scans `descriptors` candidates, so a
   // probe costs real worker time and the queue actually fills.
@@ -410,9 +322,9 @@ OverloadResult RunOverload(const std::string& binary,
   for (size_t i = 0; i < descriptors; ++i) {
     store.descriptor =
         PartitionDescriptor{PartitionKey{"T", "a", gen.Next()},
-                            daemon.address()};
+                            daemon->address()};
     auto stored = (*control)->transport().Call(
-        NetAddress{}, daemon.address(), rpc::MsgType::kStoreDescriptor,
+        NetAddress{}, daemon->address(), rpc::MsgType::kStoreDescriptor,
         rpc::EncodeStoreDescriptorRequest(store));
     CHECK(stored.ok()) << stored.status();
   }
@@ -428,7 +340,7 @@ OverloadResult RunOverload(const std::string& binary,
   // answer (shed or served), promptly.
   std::vector<std::thread> threads;
   std::vector<OverloadResult> per_thread(threads_n);
-  const NetAddress target = daemon.address();
+  const NetAddress target = daemon->address();
   for (size_t t = 0; t < threads_n; ++t) {
     threads.emplace_back([&, t] {
       rpc::TcpTransport transport;
@@ -466,8 +378,8 @@ OverloadResult RunOverload(const std::string& binary,
     result.hung += r.hung;
   }
 
-  result.daemon_alive_after = (*control)->Ping(daemon.address()).ok();
-  result.shutdown_clean = daemon.Terminate();
+  result.daemon_alive_after = (*control)->Ping(daemon->address()).ok();
+  result.shutdown_clean = daemon->Terminate();
   return result;
 }
 
@@ -513,13 +425,14 @@ int main(int argc, char** argv) {
   using namespace p2prange;
   using namespace p2prange::bench;
 
-  const std::string binary = NodeBinary();
+  const std::string binary = live::ToolBinary("p2prange_node");
   if (binary.empty()) {
     std::fprintf(stderr, "p2prange_node not found next to this bench\n");
     return 1;
   }
-  std::string scratch = fs::temp_directory_path() / "live_ring_bench_XXXXXX";
-  if (::mkdtemp(scratch.data()) == nullptr) {
+  const std::string scratch =
+      live::MakeScratchDir(fs::temp_directory_path() / "live_ring_bench_");
+  if (scratch.empty()) {
     std::fprintf(stderr, "mkdtemp failed\n");
     return 1;
   }

@@ -222,10 +222,8 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
   // match among the groups that did answer.
   OpBudget budget;
   std::vector<MatchCandidate> candidates;
-  std::set<std::string> candidates_seen;
   std::set<NetAddress> owners_seen;
-  std::vector<PartitionDescriptor> coverage_candidates;
-  std::set<std::string> coverage_seen;
+  std::vector<MatchCandidate> coverage_candidates;
 
   // Probes one replica's bucket; commits its candidate and coverage
   // contributions only once the reply reaches the origin.
@@ -268,19 +266,9 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
       ++out.peers_contacted;
       out.probed_owners.push_back(target);
     }
-    if (candidate) {
-      const std::string key = candidate->descriptor.key.ToString() + "@" +
-                              candidate->descriptor.holder.ToString();
-      if (candidates_seen.insert(key).second) {
-        candidates.push_back(std::move(*candidate));
-      }
-    }
+    if (candidate) candidates.push_back(std::move(*candidate));
     for (MatchCandidate& c : overlapping) {
-      if (coverage_seen.insert(c.descriptor.key.ToString() + "@" +
-                               c.descriptor.holder.ToString())
-              .second) {
-        coverage_candidates.push_back(std::move(c.descriptor));
-      }
+      coverage_candidates.push_back(std::move(c));
     }
     return true;
   };
@@ -347,34 +335,20 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
   out.degraded = out.probes_failed > 0 || budget.exhausted;
   if (out.degraded) ++metrics_.degraded_lookups;
 
-  // Rank the collected candidates best-first: higher similarity wins,
-  // exactness breaks ties (matches the single-best rule the protocol
-  // used before it kept a ranked list).
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const MatchCandidate& a, const MatchCandidate& b) {
-                     if (a.similarity != b.similarity) {
-                       return a.similarity > b.similarity;
-                     }
-                     return a.exact && !b.exact;
-                   });
-  const std::optional<MatchCandidate> best =
-      candidates.empty() ? std::nullopt
-                         : std::optional<MatchCandidate>(candidates.front());
+  RankCandidates(&candidates);
   out.ranked.reserve(candidates.size());
   for (const MatchCandidate& c : candidates) {
-    RangeMatch m;
-    m.matched = c.descriptor.key;
-    m.holder = c.descriptor.holder;
-    m.score = c.similarity;
-    m.jaccard = query.range.Jaccard(c.descriptor.key.range);
-    m.recall = query.range.RecallFrom(c.descriptor.key.range);
-    m.exact = c.descriptor.key.range == out.effective_query;
-    out.ranked.push_back(std::move(m));
+    const Range& r = c.descriptor.key.range;
+    out.ranked.push_back(RangeMatch{c.descriptor.key, c.descriptor.holder,
+                                    c.similarity, query.range.Jaccard(r),
+                                    query.range.RecallFrom(r), c.exact});
   }
 
   if (config_.assemble_coverage && !coverage_candidates.empty()) {
-    CoverageResult cover = AssembleCoverage(query.range,
-                                            std::move(coverage_candidates),
+    DedupeDescriptors(&coverage_candidates);
+    std::vector<PartitionDescriptor> pieces;
+    for (auto& c : coverage_candidates) pieces.push_back(std::move(c.descriptor));
+    CoverageResult cover = AssembleCoverage(query.range, std::move(pieces),
                                             config_.max_coverage_pieces);
     out.coverage_pieces = std::move(cover.pieces);
     out.coverage_recall = cover.covered_fraction;
@@ -383,24 +357,20 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
   if (config_.adaptive_padding) {
     padding_controller_.Observe(
         query.relation + "." + query.attribute,
-        best ? query.range.RecallFrom(best->descriptor.key.range) : 0.0);
+        out.ranked.empty() ? 0.0 : out.ranked.front().recall);
   }
 
-  if (!out.ranked.empty()) {
-    out.match = out.ranked.front();
-    if (out.match->exact) {
-      ++metrics_.exact_hits;
-    } else {
-      ++metrics_.approx_hits;
-    }
-  } else {
+  if (out.ranked.empty()) {
     ++metrics_.misses;
+  } else {
+    out.match = out.ranked.front();
+    ++(out.match->exact ? metrics_.exact_hits : metrics_.approx_hits);
   }
 
   // Cache-on-miss (§4): if no exact match exists, the computed
   // partition (the effective range, held by the origin) is stored at
   // the peers owning the l identifiers.
-  if (config_.cache_on_miss && (!out.match || !out.match->exact)) {
+  if (config_.cache_on_miss && MissesExact(candidates)) {
     const PartitionDescriptor descriptor{effective_key, origin};
     ++metrics_.partitions_published;
     for (size_t g = 0; g < out.identifiers.size(); ++g) {

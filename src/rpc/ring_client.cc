@@ -294,18 +294,12 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
   }
 
   std::vector<MatchCandidate> candidates;
-  std::set<std::string> candidates_seen;
   bool refreshed = false;  // at most one view refresh per lookup
 
   auto collect = [&](const std::string& body) -> Status {
     ASSIGN_OR_RETURN(std::optional<MatchCandidate> candidate,
                      DecodeProbeBucketResponse(body));
-    if (!candidate.has_value()) return Status::OK();
-    const std::string key = candidate->descriptor.key.ToString() + "@" +
-                            candidate->descriptor.holder.ToString();
-    if (candidates_seen.insert(key).second) {
-      candidates.push_back(std::move(*candidate));
-    }
+    if (candidate.has_value()) candidates.push_back(std::move(*candidate));
     return Status::OK();
   };
 
@@ -389,15 +383,7 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
     out.latency_ms += ElapsedMs(probe_started);
   }
 
-  // Same ranking rule as the simulator: higher similarity first,
-  // exactness breaks ties, stable within.
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const MatchCandidate& a, const MatchCandidate& b) {
-                     if (a.similarity != b.similarity) {
-                       return a.similarity > b.similarity;
-                     }
-                     return a.exact && !b.exact;
-                   });
+  RankCandidates(&candidates);
   out.ranked = std::move(candidates);
   return out;
 }

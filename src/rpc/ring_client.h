@@ -4,8 +4,8 @@
 // Mirrors the simulator's RangeCacheSystem protocol step for step so
 // live answers are comparable to simulated ones: the same LSH scheme
 // maps a range to l identifiers, each identifier's bucket is probed at
-// its owner, per-probe best matches are deduplicated and ranked by
-// (similarity desc, exact tie-break). Probes are pipelined over the
+// its owner, per-probe best matches are deduplicated and ranked by the
+// shared §4 rule (RankCandidates). Probes are pipelined over the
 // call-id multiplexing of TcpTransport — all l requests go out before
 // the first response is awaited — and probes whose buckets share an
 // owner coalesce into a single kMultiOp round trip (small rings put

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
+#include "store/bucket_store.h"
 
 namespace p2prange {
 namespace sim {
@@ -17,6 +18,8 @@ constexpr uint64_t kControlBytes = 64;
 constexpr uint64_t kDescriptorBytes = 20;
 /// Rolling window width for the recovery clock.
 constexpr size_t kRecallWindow = 200;
+/// Best-match criterion: §5.2 containment, the recall of the answer.
+constexpr MatchCriterion kEngineCriterion = MatchCriterion::kContainment;
 
 std::string JsonDouble(double v) {
   char buf[64];
@@ -305,12 +308,10 @@ void ScenarioEngine::RunQuery(ScenarioReport* report) {
         continue;
       }
       const Range stored(d.lo, d.hi);
-      if (stored.Overlaps(q)) {
-        const double recall =
-            static_cast<double>(stored.IntersectionSize(q)) /
-            static_cast<double>(q.size());
-        if (recall > best_recall) best_recall = recall;
-        if (d.lo == q.lo() && d.hi == q.hi()) exact = true;
+      const double score = MatchScore(q, stored, kEngineCriterion);
+      if (RanksBefore(score, stored == q, best_recall, exact)) {
+        best_recall = score;
+        exact = stored == q;
       }
       ++i;
     }
@@ -319,7 +320,6 @@ void ScenarioEngine::RunQuery(ScenarioReport* report) {
   ++report->queries;
   if (exact) {
     ++report->exact_hits;
-    best_recall = 1.0;
   } else if (best_recall > 0.0) {
     ++report->approx_hits;
   } else {

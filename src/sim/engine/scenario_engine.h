@@ -4,9 +4,10 @@
 // WALs, finger tables) — faithful, but ~kilobytes per peer. The
 // scenario engine strips the §4 protocol to its struct-of-arrays
 // skeleton: peers are ranks in a sorted identifier array, descriptors
-// are 16-byte packed rows in bucket-indexed tables, and time advances
+// are 20-byte packed rows in bucket-indexed tables, and time advances
 // through an indexed event queue of query / churn / repair events.
-// What it keeps exact: the real LSH identifier scheme, the
+// What it keeps exact: the real LSH identifier scheme, the shared §4
+// match rule (store/bucket_store.h) under §5.2 containment, the
 // cache-on-miss publish rule, descriptor replication, lazy stale
 // eviction, and substrate-shaped routing costs (CompactOverlay).
 // What it drops: SQL, payload bytes, per-message latency sampling.

@@ -16,16 +16,38 @@ const char* MatchCriterionName(MatchCriterion c) {
   return "unknown";
 }
 
-double BucketStore::Score(const Range& query, const Range& stored,
-                          MatchCriterion criterion) {
-  switch (criterion) {
-    case MatchCriterion::kJaccard:
-      return query.Jaccard(stored);
-    case MatchCriterion::kContainment:
-      return query.ContainmentIn(stored);
+void DedupeDescriptors(std::vector<MatchCandidate>* candidates) {
+  auto kept = candidates->begin();
+  for (auto it = candidates->begin(); it != candidates->end(); ++it) {
+    auto same = [&](const MatchCandidate& k) { return k.descriptor == it->descriptor; };
+    if (std::any_of(candidates->begin(), kept, same)) continue;
+    if (kept != it) *kept = std::move(*it);
+    ++kept;
   }
-  return 0.0;
+  candidates->erase(kept, candidates->end());
 }
+
+void RankCandidates(std::vector<MatchCandidate>* candidates) {
+  DedupeDescriptors(candidates);
+  std::stable_sort(candidates->begin(), candidates->end(),
+                   [](const MatchCandidate& a, const MatchCandidate& b) {
+                     return RanksBefore(a.similarity, a.exact, b.similarity, b.exact);
+                   });
+}
+
+namespace {
+
+// Replaces `*best` with `d` if `d` ranks before it.
+void KeepIfBetter(const PartitionDescriptor& d, const PartitionKey& query,
+                  MatchCriterion criterion, std::optional<MatchCandidate>* best) {
+  const double score = MatchScore(query.range, d.key.range, criterion);
+  const bool exact = d.key.range == query.range;
+  if (!*best || RanksBefore(score, exact, (*best)->similarity, (*best)->exact)) {
+    *best = MatchCandidate{d, score, exact};
+  }
+}
+
+}  // namespace
 
 bool BucketStore::Insert(chord::ChordId id, const PartitionDescriptor& descriptor) {
   auto& bucket = buckets_[id];
@@ -96,11 +118,7 @@ std::optional<MatchCandidate> BucketStore::BestMatch(chord::ChordId id,
   std::optional<MatchCandidate> best;
   for (const auto& entry_it : it->second) {
     const PartitionDescriptor& d = entry_it->descriptor;
-    if (!d.key.SameColumn(query)) continue;
-    const double score = Score(query.range, d.key.range, criterion);
-    if (!best || score > best->similarity) {
-      best = MatchCandidate{d, score, d.key.range == query.range};
-    }
+    if (d.key.SameColumn(query)) KeepIfBetter(d, query, criterion, &best);
   }
   return best;
 }
@@ -112,10 +130,7 @@ std::optional<MatchCandidate> BucketStore::BestMatchAnywhere(
   // that matter in O(log n + k).
   std::optional<MatchCandidate> best;
   index_.ForEachOverlapping(query, [&](const PartitionDescriptor& d) {
-    const double score = Score(query.range, d.key.range, criterion);
-    if (!best || score > best->similarity) {
-      best = MatchCandidate{d, score, d.key.range == query.range};
-    }
+    KeepIfBetter(d, query, criterion, &best);
   });
   if (!best) {
     // Zero-similarity fallback: the §4 protocol still reports the best
@@ -135,7 +150,7 @@ std::vector<MatchCandidate> BucketStore::OverlappingCandidates(
     const PartitionDescriptor& d = entry_it->descriptor;
     if (!d.key.SameColumn(query)) continue;
     if (!query.range.Overlaps(d.key.range)) continue;
-    out.push_back(MatchCandidate{d, Score(query.range, d.key.range, criterion),
+    out.push_back(MatchCandidate{d, MatchScore(query.range, d.key.range, criterion),
                                  d.key.range == query.range});
   }
   return out;

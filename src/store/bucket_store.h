@@ -32,6 +32,13 @@ enum class MatchCriterion {
 
 const char* MatchCriterionName(MatchCriterion c);
 
+/// \brief Score of cached range `stored` for query range `query`.
+inline double MatchScore(const Range& query, const Range& stored,
+                         MatchCriterion criterion) {
+  return criterion == MatchCriterion::kJaccard ? query.Jaccard(stored)
+                                               : query.ContainmentIn(stored);
+}
+
 /// \brief A candidate answer: a stored descriptor plus its score
 /// against the query range under the criterion used.
 struct MatchCandidate {
@@ -39,6 +46,29 @@ struct MatchCandidate {
   double similarity = 0.0;  ///< score under the criterion that selected it
   bool exact = false;       ///< stored range equals the query range
 };
+
+// The §4 match rule, shared by the simulator, the scenario engine, the
+// daemon's bucket matcher and the live client.
+
+/// \brief True if (`score_a`, `exact_a`) ranks strictly before
+/// (`score_b`, `exact_b`): the higher score wins, and an exact match
+/// wins a tie (under containment a superset also scores 1.0).
+constexpr bool RanksBefore(double score_a, bool exact_a, double score_b,
+                           bool exact_b) {
+  return score_a != score_b ? score_a > score_b : exact_a && !exact_b;
+}
+
+/// \brief Drops repeats of a descriptor (same key and holder), keeping
+/// first occurrences in order.
+void DedupeDescriptors(std::vector<MatchCandidate>* candidates);
+
+/// \brief DedupeDescriptors, then a stable sort best first.
+void RankCandidates(std::vector<MatchCandidate>* candidates);
+
+/// \brief Cache-on-miss (§4): publish unless the best of `ranked` is exact.
+inline bool MissesExact(const std::vector<MatchCandidate>& ranked) {
+  return ranked.empty() || !ranked.front().exact;
+}
 
 /// \brief Capacity-bounded descriptor store of one peer.
 class BucketStore {
@@ -54,8 +84,8 @@ class BucketStore {
   bool Insert(chord::ChordId id, const PartitionDescriptor& descriptor);
 
   /// \brief Best match for `query` among the descriptors of bucket
-  /// `id` over the same relation+attribute. nullopt if the bucket is
-  /// empty (or holds only other columns).
+  /// `id` over the same relation+attribute, under RanksBefore. nullopt
+  /// if the bucket is empty (or holds only other columns).
   std::optional<MatchCandidate> BestMatch(chord::ChordId id,
                                           const PartitionKey& query,
                                           MatchCriterion criterion) const;
@@ -115,9 +145,6 @@ class BucketStore {
     PartitionDescriptor descriptor;
   };
   using RecencyList = std::list<Entry>;
-
-  static double Score(const Range& query, const Range& stored,
-                      MatchCriterion criterion);
 
   void EvictIfNeeded();
 

@@ -173,6 +173,50 @@ TEST_F(SystemTest, ContainmentCriterionPrefersCoveringPartition) {
   EXPECT_DOUBLE_EQ(outcome->match->recall, 1.0);
 }
 
+TEST_F(SystemTest, ContainmentExactHitBeatsAnEarlierSuperset) {
+  // Under containment a superset scores 1.0 like the exact range. The
+  // exact match must still win, count as an exact hit and leave the
+  // cached partition alone: no republish, no holder rewrite.
+  SystemConfig cfg = SmallConfig(77);
+  cfg.criterion = MatchCriterion::kContainment;
+  auto sys = MakeSystem(cfg);
+  const auto peers = sys.ring().AliveNodesSorted();
+  ASSERT_GE(peers.size(), 2u);
+  const NetAddress holder = peers[0].addr;
+  const NetAddress origin = peers[1].addr;
+  const PartitionKey exact_key = NumbersKey(100, 110);
+  // The superset goes into every bucket of the query first, so it
+  // precedes the exact range in bucket order.
+  const auto ids = sys.lsh().Identifiers(exact_key.range);
+  for (uint32_t id : ids) {
+    auto owner = sys.ring().FindSuccessorOracle(id);
+    ASSERT_TRUE(owner.ok());
+    sys.peer(owner->addr)->store().Insert(
+        id, PartitionDescriptor{NumbersKey(0, 1000), holder});
+  }
+  ASSERT_TRUE(sys.PublishPartition(exact_key, holder).ok());
+  const uint64_t published = sys.metrics().partitions_published;
+
+  auto outcome = sys.LookupRangeFrom(origin, exact_key);
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_TRUE(outcome->match.has_value());
+  EXPECT_TRUE(outcome->match->exact);
+  EXPECT_EQ(outcome->match->matched, exact_key);
+  EXPECT_EQ(sys.metrics().exact_hits, 1u);
+  EXPECT_EQ(sys.metrics().approx_hits, 0u);
+  EXPECT_EQ(sys.metrics().partitions_published, published);
+  for (uint32_t id : ids) {
+    auto owner = sys.ring().FindSuccessorOracle(id);
+    ASSERT_TRUE(owner.ok());
+    for (const PartitionDescriptor& d :
+         sys.peer(owner->addr)->store().BucketContents(id)) {
+      if (d.key == exact_key) {
+        EXPECT_EQ(d.holder, holder);
+      }
+    }
+  }
+}
+
 TEST_F(SystemTest, PeerIndexFindsMatchesAcrossBuckets) {
   // With use_peer_index, a partition stored in *any* bucket of the
   // probed peer is considered (§5.3).

@@ -24,15 +24,12 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +37,7 @@
 #include "rel/generator.h"
 #include "rpc/ring_client.h"
 #include "rpc/tcp.h"
+#include "tools/live_process.h"
 #include "workload/range_workload.h"
 
 namespace p2prange {
@@ -50,134 +48,7 @@ namespace fs = std::filesystem;
 /// 127.0.1.<index+1>: one loopback host per daemon, all local, all
 /// distinguishable by getpeername on the proxy side.
 NetAddress NodeHost(size_t index, uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000100u + static_cast<uint32_t>(index + 1);
-  a.port = port;
-  return a;
-}
-
-NetAddress ClientHost(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;  // 127.0.0.1 — what the proxy binds
-  a.port = port;
-  return a;
-}
-
-std::string BinaryNextToTests(const char* name) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const fs::path candidate =
-      fs::path(buf).parent_path().parent_path() / "tools" / name;
-  return fs::exists(candidate) ? candidate.string() : "";
-}
-
-/// Reserves an ephemeral port on `host`: bind port 0, record, close.
-NetAddress ReservePortOn(const NetAddress& host) {
-  auto sock = rpc::Listen(host);
-  EXPECT_TRUE(sock.ok()) << sock.status().ToString();
-  if (!sock.ok()) return NetAddress{};
-  const NetAddress bound = sock->bound;
-  ::close(sock->fd);
-  return bound;
-}
-
-/// One forked child (daemon or proxy); the destructor guarantees it
-/// dies.
-class Child {
- public:
-  Child(const std::string& binary, std::vector<std::string> args) {
-    args.insert(args.begin(), binary);
-    std::vector<char*> argv;
-    for (std::string& s : args) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);  // exec failed
-    }
-  }
-
-  ~Child() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-  }
-
-  Child(const Child&) = delete;
-  Child& operator=(const Child&) = delete;
-
-  pid_t pid() const { return pid_; }
-
-  void Signal(int signo) const { ::kill(pid_, signo); }
-
-  /// SIGTERM and require a clean exit within ~10s.
-  ::testing::AssertionResult Terminate() {
-    if (pid_ <= 0) return ::testing::AssertionFailure() << "not running";
-    ::kill(pid_, SIGTERM);
-    for (int i = 0; i < 200; ++i) {
-      int status = 0;
-      const pid_t got = ::waitpid(pid_, &status, WNOHANG);
-      if (got == pid_) {
-        pid_ = -1;
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-          return ::testing::AssertionSuccess();
-        }
-        return ::testing::AssertionFailure()
-               << "child exited with status " << status;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    return ::testing::AssertionFailure() << "child ignored SIGTERM";
-  }
-
- private:
-  pid_t pid_ = -1;
-};
-
-std::string MakeScratchDir() {
-  std::string tmpl = ::testing::TempDir() + "chaos_ring_XXXXXX";
-  char* made = ::mkdtemp(tmpl.data());
-  EXPECT_NE(made, nullptr);
-  return made ? std::string(made) : std::string();
-}
-
-std::string JoinComma(const std::vector<NetAddress>& addrs) {
-  std::string out;
-  for (const NetAddress& a : addrs) {
-    if (!out.empty()) out += ",";
-    out += a.ToString();
-  }
-  return out;
-}
-
-void WriteFileAtomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    out << content;
-  }
-  ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
-}
-
-/// Sums every `"key":<integer>` occurrence in a (possibly absent)
-/// JSON metrics file. Good enough for the flat snapshots the daemon
-/// and proxy write.
-uint64_t SumJsonCounter(const std::string& path, const std::string& key) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::string needle = "\"" + key + "\":";
-  uint64_t sum = 0;
-  for (size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + needle.size())) {
-    sum += std::strtoull(text.c_str() + pos + needle.size(), nullptr, 10);
-  }
-  return sum;
+  return live::HostAddr(0x7F000100u + static_cast<uint32_t>(index + 1), port);
 }
 
 // --- Topology under the proxy -----------------------------------------
@@ -189,12 +60,11 @@ struct ChaosRing {
   std::vector<NetAddress> real;       ///< daemon listen addresses
   std::vector<NetAddress> advertised; ///< proxy-side (client-facing)
   std::vector<std::string> metrics;   ///< per-daemon metrics files
-  std::unique_ptr<Child> proxy;
-  std::vector<std::unique_ptr<Child>> daemons;
+  std::unique_ptr<live::ChildProcess> proxy;
+  std::vector<std::unique_ptr<live::ChildProcess>> daemons;
 
   ::testing::AssertionResult Replan(const std::string& rules) {
-    WriteFileAtomic(plan_path, rules);
-    if (::testing::Test::HasFatalFailure()) {
+    if (!live::WriteFileAtomic(plan_path, rules)) {
       return ::testing::AssertionFailure() << "plan rewrite failed";
     }
     proxy->Signal(SIGHUP);  // reload + restart the schedule clock
@@ -206,26 +76,27 @@ struct ChaosRing {
 /// address the daemons advertise pointing through the proxy.
 ChaosRing SpawnChaosRing(size_t n, const std::string& initial_plan) {
   ChaosRing ring;
-  ring.scratch = MakeScratchDir();
+  ring.scratch = live::MakeScratchDir(::testing::TempDir() + "chaos_ring_");
+  EXPECT_FALSE(ring.scratch.empty());
   ring.plan_path = ring.scratch + "/plan.chaos";
   ring.proxy_metrics = ring.scratch + "/proxy_metrics.json";
-  WriteFileAtomic(ring.plan_path, initial_plan);
+  EXPECT_TRUE(live::WriteFileAtomic(ring.plan_path, initial_plan));
 
-  const std::string proxy_binary = BinaryNextToTests("p2prange_chaosproxy");
-  const std::string node_binary = BinaryNextToTests("p2prange_node");
+  const std::string proxy_binary = live::ToolBinary("p2prange_chaosproxy");
+  const std::string node_binary = live::ToolBinary("p2prange_node");
   EXPECT_FALSE(proxy_binary.empty()) << "p2prange_chaosproxy not built";
   EXPECT_FALSE(node_binary.empty()) << "p2prange_node not built";
   if (proxy_binary.empty() || node_binary.empty()) return ring;
 
   for (size_t i = 0; i < n; ++i) {
-    ring.real.push_back(ReservePortOn(NodeHost(i, 0)));
-    ring.advertised.push_back(ReservePortOn(ClientHost(0)));
+    ring.real.push_back(live::ReservePort(NodeHost(i, 0)));
+    ring.advertised.push_back(live::ReservePort());
   }
-  ring.proxy = std::make_unique<Child>(
+  ring.proxy = std::make_unique<live::ChildProcess>(
       proxy_binary,
       std::vector<std::string>{
-          "--listen=" + JoinComma(ring.advertised),
-          "--upstream=" + JoinComma(ring.real),
+          "--listen=" + live::JoinAddresses(ring.advertised),
+          "--upstream=" + live::JoinAddresses(ring.real),
           "--plan=" + ring.plan_path,
           "--metrics_json=" + ring.proxy_metrics,
           "--seed=42",
@@ -255,7 +126,8 @@ ChaosRing SpawnChaosRing(size_t n, const std::string& initial_plan) {
         "--handoff_deadline_ms=3000",
     };
     if (i > 0) args.push_back("--join=" + ring.advertised[0].ToString());
-    ring.daemons.push_back(std::make_unique<Child>(node_binary, args));
+    ring.daemons.push_back(
+        std::make_unique<live::ChildProcess>(node_binary, args));
     // Joins are sequential: each daemon must be reachable before the
     // next one bootstraps through the advertised address of daemon 0.
   }
@@ -283,27 +155,16 @@ rpc::RingClientOptions ClientOptions() {
 
 ::testing::AssertionResult AwaitPing(rpc::RingClient& client,
                                      const NetAddress& member) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    if (client.Ping(member).ok()) return ::testing::AssertionSuccess();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return ::testing::AssertionFailure()
+  return ::testing::AssertionResult(live::AwaitPing(client, member))
          << "no pong from " << member.ToString() << " after 10s";
 }
 
 ::testing::AssertionResult AwaitViewSize(rpc::RingClient& client,
                                          size_t expected) {
-  Status last;
-  for (int attempt = 0; attempt < 600; ++attempt) {
-    last = client.RefreshView();
-    if (last.ok() && client.view().size() == expected) {
-      return ::testing::AssertionSuccess();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return ::testing::AssertionFailure()
+  return ::testing::AssertionResult(
+             live::AwaitViewSize(client, expected, std::chrono::seconds(30)))
          << "view stuck at " << client.view().size() << " members, wanted "
-         << expected << " (last refresh: " << last.ToString() << ")";
+         << expected;
 }
 
 /// Awaits the failure detector: the view shrinks below `below` on
@@ -333,18 +194,18 @@ rpc::RingClientOptions ClientOptions() {
 /// neighbor's gossip rather than striking it out itself.
 ::testing::AssertionResult AwaitTotalSplit(const ChaosRing& ring) {
   for (int attempt = 0; attempt < 600; ++attempt) {
-    if (SumJsonCounter(ring.metrics[0], "membership_alive") == 1 &&
-        SumJsonCounter(ring.metrics[1], "membership_alive") == 2 &&
-        SumJsonCounter(ring.metrics[2], "membership_alive") == 2) {
+    if (live::SumJsonCounter(ring.metrics[0], "membership_alive") == 1 &&
+        live::SumJsonCounter(ring.metrics[1], "membership_alive") == 2 &&
+        live::SumJsonCounter(ring.metrics[2], "membership_alive") == 2) {
       return ::testing::AssertionSuccess();
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   return ::testing::AssertionFailure()
          << "split never became total: alive = "
-         << SumJsonCounter(ring.metrics[0], "membership_alive") << "/"
-         << SumJsonCounter(ring.metrics[1], "membership_alive") << "/"
-         << SumJsonCounter(ring.metrics[2], "membership_alive");
+         << live::SumJsonCounter(ring.metrics[0], "membership_alive") << "/"
+         << live::SumJsonCounter(ring.metrics[1], "membership_alive") << "/"
+         << live::SumJsonCounter(ring.metrics[2], "membership_alive");
 }
 
 struct BatchResult {
@@ -452,7 +313,7 @@ TEST(ChaosRingTest, AsymmetricPartitionHealsThroughReconnectSweep) {
   for (int attempt = 0; attempt < 100 && resurrected == 0; ++attempt) {
     resurrected = 0;
     for (const std::string& m : ring.metrics) {
-      resurrected += SumJsonCounter(m, "members_resurrected");
+      resurrected += live::SumJsonCounter(m, "members_resurrected");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
@@ -504,7 +365,7 @@ TEST(ChaosRingTest, CorruptInterNodeLinksCostFramesNotTheRing) {
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (corrupted == 0 && std::chrono::steady_clock::now() < deadline) {
     EXPECT_EQ(QueryBatch(client).failed_lookups, 0);
-    corrupted = SumJsonCounter(ring.proxy_metrics, "segments_corrupted");
+    corrupted = live::SumJsonCounter(ring.proxy_metrics, "segments_corrupted");
   }
   EXPECT_GE(corrupted, 1u) << "the proxy never corrupted a segment";
 
@@ -524,13 +385,15 @@ TEST(ChaosRingTest, CorruptInterNodeLinksCostFramesNotTheRing) {
 }
 
 TEST(ChaosRingTest, SlowLorisIsCutWhileHonestClientsAreServed) {
-  const std::string node_binary = BinaryNextToTests("p2prange_node");
+  const std::string node_binary = live::ToolBinary("p2prange_node");
   ASSERT_FALSE(node_binary.empty());
-  const std::string scratch = MakeScratchDir();
+  const std::string scratch =
+      live::MakeScratchDir(::testing::TempDir() + "chaos_ring_");
   ASSERT_FALSE(scratch.empty());
-  const NetAddress addr = ReservePortOn(ClientHost(0));
+  const NetAddress addr = live::ReservePort();
+  ASSERT_NE(addr.port, 0);
   const std::string metrics = scratch + "/metrics.json";
-  Child daemon(node_binary, {
+  live::ChildProcess daemon(node_binary, {
                                 "--listen=" + addr.ToString(),
                                 "--wal_dir=" + scratch,
                                 "--metrics_json=" + metrics,
@@ -576,7 +439,7 @@ TEST(ChaosRingTest, SlowLorisIsCutWhileHonestClientsAreServed) {
   // The daemon accounted for the kill.
   uint64_t idle_closed = 0;
   for (int attempt = 0; attempt < 100 && idle_closed == 0; ++attempt) {
-    idle_closed = SumJsonCounter(metrics, "idle_closed");
+    idle_closed = live::SumJsonCounter(metrics, "idle_closed");
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_GE(idle_closed, 1u);

@@ -16,12 +16,7 @@
 // loaded CI boxes. Every child is reaped by RAII.
 #include <gtest/gtest.h>
 
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -30,7 +25,7 @@
 
 #include "rel/generator.h"
 #include "rpc/ring_client.h"
-#include "rpc/tcp.h"
+#include "tools/live_process.h"
 #include "workload/range_workload.h"
 
 namespace p2prange {
@@ -38,114 +33,23 @@ namespace {
 
 namespace fs = std::filesystem;
 
-NetAddress Loopback(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;  // 127.0.0.1
-  a.port = port;
-  return a;
-}
-
-std::string NodeBinary() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const fs::path candidate =
-      fs::path(buf).parent_path().parent_path() / "tools" / "p2prange_node";
-  return fs::exists(candidate) ? candidate.string() : "";
-}
-
-NetAddress ReservePort() {
-  auto sock = rpc::Listen(Loopback(0));
-  EXPECT_TRUE(sock.ok());
-  if (!sock.ok()) return NetAddress{};
-  const NetAddress bound = sock->bound;
-  ::close(sock->fd);
-  return bound;
-}
-
-/// One spawned daemon with fast membership timers; the destructor
-/// guarantees it dies.
-class ChurnDaemon {
- public:
-  ChurnDaemon(const std::string& binary, const NetAddress& addr,
-              const std::string& wal_dir, const std::string& join) {
-    addr_ = addr;
-    wal_dir_ = wal_dir;
-    std::vector<std::string> argv_store = {
-        binary,
-        "--listen=" + addr.ToString(),
-        "--wal_dir=" + wal_dir,
-        "--replication=2",
-        // Fast convergence so the acceptance run is quick: probes every
-        // 100ms, three strikes at a 300ms timeout ≈ sub-2s detection.
-        "--probe_ms=100",
-        "--gossip_ms=100",
-        "--stabilize_ms=100",
-        "--probe_timeout_ms=300",
-    };
-    if (!join.empty()) argv_store.push_back("--join=" + join);
-    std::vector<char*> argv;
-    for (std::string& s : argv_store) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);  // exec failed
-    }
-  }
-
-  ~ChurnDaemon() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-  }
-
-  ChurnDaemon(const ChurnDaemon&) = delete;
-  ChurnDaemon& operator=(const ChurnDaemon&) = delete;
-
-  const NetAddress& address() const { return addr_; }
-  const std::string& wal_dir() const { return wal_dir_; }
-
-  void Kill() {
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-
-  /// SIGTERM (graceful handoff + leave) and require exit 0 within ~10s.
-  ::testing::AssertionResult Terminate() {
-    if (pid_ <= 0) return ::testing::AssertionFailure() << "not running";
-    ::kill(pid_, SIGTERM);
-    for (int i = 0; i < 200; ++i) {
-      int status = 0;
-      const pid_t got = ::waitpid(pid_, &status, WNOHANG);
-      if (got == pid_) {
-        pid_ = -1;
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-          return ::testing::AssertionSuccess();
-        }
-        return ::testing::AssertionFailure()
-               << "daemon exited with status " << status;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    return ::testing::AssertionFailure() << "daemon ignored SIGTERM";
-  }
-
- private:
-  pid_t pid_ = -1;
-  NetAddress addr_;
-  std::string wal_dir_;
-};
-
-std::string MakeScratchDir() {
-  std::string tmpl = ::testing::TempDir() + "live_churn_XXXXXX";
-  char* made = ::mkdtemp(tmpl.data());
-  EXPECT_NE(made, nullptr);
-  return made ? std::string(made) : std::string();
+/// One ring member with fast membership timers, so the acceptance run
+/// is quick: probes every 100ms, three strikes at a 300ms timeout ≈
+/// sub-2s detection.
+std::unique_ptr<live::NodeProcess> StartDaemon(const std::string& binary,
+                                               const NetAddress& addr,
+                                               const std::string& wal_dir,
+                                               const std::string& join) {
+  std::vector<std::string> flags = {
+      "--replication=2",
+      "--probe_ms=100",
+      "--gossip_ms=100",
+      "--stabilize_ms=100",
+      "--probe_timeout_ms=300",
+  };
+  if (!join.empty()) flags.push_back("--join=" + join);
+  return std::make_unique<live::NodeProcess>(binary, addr, wal_dir,
+                                             std::move(flags));
 }
 
 constexpr uint32_t kDomainLo = 0;
@@ -169,11 +73,7 @@ rpc::RingClientOptions ClientOptions() {
 
 ::testing::AssertionResult AwaitPing(rpc::RingClient& client,
                                      const NetAddress& member) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    if (client.Ping(member).ok()) return ::testing::AssertionSuccess();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return ::testing::AssertionFailure()
+  return ::testing::AssertionResult(live::AwaitPing(client, member))
          << "no pong from " << member.ToString() << " after 10s";
 }
 
@@ -182,17 +82,10 @@ rpc::RingClientOptions ClientOptions() {
 /// since the client only relays what the members gossip.
 ::testing::AssertionResult AwaitViewSize(rpc::RingClient& client,
                                          size_t expected) {
-  Status last;
-  for (int attempt = 0; attempt < 300; ++attempt) {
-    last = client.RefreshView();
-    if (last.ok() && client.view().size() == expected) {
-      return ::testing::AssertionSuccess();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return ::testing::AssertionFailure()
+  return ::testing::AssertionResult(
+             live::AwaitViewSize(client, expected, std::chrono::seconds(15)))
          << "view stuck at " << client.view().size() << " members, wanted "
-         << expected << " (last refresh: " << last.ToString() << ")";
+         << expected;
 }
 
 struct BatchResult {
@@ -247,9 +140,10 @@ BatchResult AwaitRecall(rpc::RingClient& client, double baseline) {
 }
 
 TEST(LiveChurnTest, RingGrownByJoinsSurvivesKillAndRollingRestart) {
-  const std::string binary = NodeBinary();
+  const std::string binary = live::ToolBinary("p2prange_node");
   ASSERT_FALSE(binary.empty()) << "p2prange_node not built next to tests";
-  const std::string scratch = MakeScratchDir();
+  const std::string scratch =
+      live::MakeScratchDir(::testing::TempDir() + "live_churn_");
   ASSERT_FALSE(scratch.empty());
   auto wal = [&](const char* name) {
     const std::string dir = scratch + "/" + name;
@@ -259,7 +153,7 @@ TEST(LiveChurnTest, RingGrownByJoinsSurvivesKillAndRollingRestart) {
 
   // Grow the ring one join at a time: a starts alone, b and c enter
   // through it.
-  auto a = std::make_unique<ChurnDaemon>(binary, ReservePort(), wal("a"), "");
+  auto a = StartDaemon(binary, live::ReservePort(), wal("a"), "");
   auto client_result =
       rpc::RingClient::Make({a->address()}, ClientOptions());
   ASSERT_TRUE(client_result.ok()) << client_result.status().ToString();
@@ -268,12 +162,10 @@ TEST(LiveChurnTest, RingGrownByJoinsSurvivesKillAndRollingRestart) {
   ASSERT_TRUE(AwaitViewSize(client, 1));
 
   const std::string bootstrap = a->address().ToString();
-  auto b = std::make_unique<ChurnDaemon>(binary, ReservePort(), wal("b"),
-                                         bootstrap);
+  auto b = StartDaemon(binary, live::ReservePort(), wal("b"), bootstrap);
   ASSERT_TRUE(AwaitPing(client, b->address()));
   ASSERT_TRUE(AwaitViewSize(client, 2));
-  auto c = std::make_unique<ChurnDaemon>(binary, ReservePort(), wal("c"),
-                                         bootstrap);
+  auto c = StartDaemon(binary, live::ReservePort(), wal("c"), bootstrap);
   ASSERT_TRUE(AwaitPing(client, c->address()));
   ASSERT_TRUE(AwaitViewSize(client, 3));
 
@@ -297,8 +189,7 @@ TEST(LiveChurnTest, RingGrownByJoinsSurvivesKillAndRollingRestart) {
   ASSERT_GT(baseline.recall, 0.0) << "the workload found nothing at all";
 
   // --- Event 1: a fourth member joins under load -----------------------
-  auto d = std::make_unique<ChurnDaemon>(binary, ReservePort(), wal("d"),
-                                         bootstrap);
+  auto d = StartDaemon(binary, live::ReservePort(), wal("d"), bootstrap);
   ASSERT_TRUE(AwaitPing(client, d->address()));
   // Queries keep being answered while the join propagates.
   EXPECT_EQ(QueryBatch(client).failed_lookups, 0);
@@ -331,7 +222,7 @@ TEST(LiveChurnTest, RingGrownByJoinsSurvivesKillAndRollingRestart) {
   ASSERT_TRUE(c->Terminate());
   client.transport().Disconnect(c_addr);
   EXPECT_EQ(QueryBatch(client).failed_lookups, 0);
-  c = std::make_unique<ChurnDaemon>(binary, c_addr, c_wal, bootstrap);
+  c = StartDaemon(binary, c_addr, c_wal, bootstrap);
   ASSERT_TRUE(AwaitPing(client, c_addr));
   ASSERT_TRUE(AwaitViewSize(client, 3));
   const BatchResult after_restart = AwaitRecall(client, baseline.recall);

@@ -15,21 +15,19 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/system.h"
 #include "rel/generator.h"
 #include "rpc/ring_client.h"
-#include "rpc/tcp.h"
+#include "tools/live_process.h"
 #include "workload/range_workload.h"
 
 namespace p2prange {
@@ -37,134 +35,37 @@ namespace {
 
 namespace fs = std::filesystem;
 
-NetAddress Loopback(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;  // 127.0.0.1
-  a.port = port;
-  return a;
+/// Each daemon exports its metrics next to its WAL.
+std::string MetricsJson(const std::string& wal_dir) {
+  return wal_dir + "/metrics.json";
 }
 
-/// The p2prange_node binary, found relative to this test binary
-/// (build/tests/p2prange_tests -> build/tools/p2prange_node).
-std::string NodeBinary() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const fs::path candidate =
-      fs::path(buf).parent_path().parent_path() / "tools" / "p2prange_node";
-  return fs::exists(candidate) ? candidate.string() : "";
+std::unique_ptr<live::NodeProcess> StartDaemon(const std::string& binary,
+                                               const NetAddress& addr,
+                                               const std::string& wal_dir) {
+  return std::make_unique<live::NodeProcess>(
+      binary, addr, wal_dir,
+      std::vector<std::string>{"--metrics_json=" + MetricsJson(wal_dir)});
 }
 
-/// Reserves an ephemeral loopback port: bind port 0, record, close.
-/// The daemon re-binds it moments later (SO_REUSEADDR on both sides).
-NetAddress ReservePort() {
-  auto sock = rpc::Listen(Loopback(0));
-  EXPECT_TRUE(sock.ok());
-  if (!sock.ok()) return NetAddress{};
-  const NetAddress bound = sock->bound;
-  ::close(sock->fd);
-  return bound;
-}
-
-/// One spawned daemon process; the destructor guarantees it dies.
-class Daemon {
- public:
-  Daemon(const std::string& binary, const NetAddress& addr,
-         const std::string& wal_dir, const std::string& metrics_json) {
-    addr_ = addr;
-    wal_dir_ = wal_dir;
-    metrics_json_ = metrics_json;
-    std::vector<std::string> argv_store = {
-        binary,
-        "--listen=" + addr.ToString(),
-        "--wal_dir=" + wal_dir,
-        "--metrics_json=" + metrics_json,
-    };
-    std::vector<char*> argv;
-    for (std::string& s : argv_store) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);  // exec failed
-    }
-  }
-
-  ~Daemon() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-  }
-
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-
-  const NetAddress& address() const { return addr_; }
-  const std::string& wal_dir() const { return wal_dir_; }
-  const std::string& metrics_json() const { return metrics_json_; }
-  pid_t pid() const { return pid_; }
-
-  void Stop() const { ::kill(pid_, SIGSTOP); }
-  void Resume() const { ::kill(pid_, SIGCONT); }
-  void Kill() {
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-
-  /// SIGTERM and require a clean exit within ~5 s.
-  ::testing::AssertionResult Terminate() {
-    if (pid_ <= 0) return ::testing::AssertionFailure() << "not running";
-    ::kill(pid_, SIGTERM);
-    for (int i = 0; i < 100; ++i) {
-      int status = 0;
-      const pid_t got = ::waitpid(pid_, &status, WNOHANG);
-      if (got == pid_) {
-        pid_ = -1;
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-          return ::testing::AssertionSuccess();
-        }
-        return ::testing::AssertionFailure()
-               << "daemon exited with status " << status;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    return ::testing::AssertionFailure() << "daemon ignored SIGTERM";
-  }
-
- private:
-  pid_t pid_ = -1;
-  NetAddress addr_;
-  std::string wal_dir_;
-  std::string metrics_json_;
-};
-
-/// A temp directory tree for one test's daemons.
-std::string MakeScratchDir() {
-  std::string tmpl = ::testing::TempDir() + "live_ring_XXXXXX";
-  char* made = ::mkdtemp(tmpl.data());
-  EXPECT_NE(made, nullptr);
-  return made ? std::string(made) : std::string();
-}
+constexpr std::chrono::seconds kTerminateTimeout{5};
 
 struct Ring {
-  std::vector<std::unique_ptr<Daemon>> daemons;
+  std::vector<std::unique_ptr<live::NodeProcess>> daemons;
   std::vector<NetAddress> members;
   std::string scratch;
 };
 
 Ring SpawnRing(const std::string& binary, size_t n) {
   Ring ring;
-  ring.scratch = MakeScratchDir();
+  ring.scratch = live::MakeScratchDir(::testing::TempDir() + "live_ring_");
+  EXPECT_FALSE(ring.scratch.empty());
   for (size_t i = 0; i < n; ++i) {
-    const NetAddress addr = ReservePort();
+    const NetAddress addr = live::ReservePort();
+    EXPECT_NE(addr.port, 0);
     const std::string dir = ring.scratch + "/n" + std::to_string(i);
     fs::create_directories(dir);
-    ring.daemons.push_back(std::make_unique<Daemon>(
-        binary, addr, dir, dir + "/metrics.json"));
+    ring.daemons.push_back(StartDaemon(binary, addr, dir));
     ring.members.push_back(addr);
   }
   return ring;
@@ -175,15 +76,7 @@ Ring SpawnRing(const std::string& binary, size_t n) {
 ::testing::AssertionResult AwaitReady(rpc::RingClient& client,
                                       const std::vector<NetAddress>& members) {
   for (const NetAddress& m : members) {
-    bool up = false;
-    for (int attempt = 0; attempt < 100; ++attempt) {
-      if (client.Ping(m).ok()) {
-        up = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    if (!up) {
+    if (!live::AwaitPing(client, m, std::chrono::seconds(5))) {
       return ::testing::AssertionFailure()
              << "no pong from " << m.ToString() << " after 5s";
     }
@@ -275,7 +168,7 @@ double RunSimWorkload(size_t publishes, size_t queries) {
 }
 
 TEST(LiveRingTest, PaperWorkloadRecallMatchesSimulator) {
-  const std::string binary = NodeBinary();
+  const std::string binary = live::ToolBinary("p2prange_node");
   ASSERT_FALSE(binary.empty()) << "p2prange_node not built next to tests";
   Ring ring = SpawnRing(binary, 3);
   ASSERT_EQ(ring.members.size(), 3u);
@@ -302,19 +195,21 @@ TEST(LiveRingTest, PaperWorkloadRecallMatchesSimulator) {
   // The exported metrics are live: every node served requests and says
   // so in its single-line JSON file.
   for (const auto& daemon : ring.daemons) {
-    std::ifstream in(daemon->metrics_json());
+    std::ifstream in(MetricsJson(daemon->wal_dir()));
     std::string json;
     std::getline(in, json);
     EXPECT_NE(json.find("\"requests_served\":"), std::string::npos)
-        << daemon->metrics_json();
+        << MetricsJson(daemon->wal_dir());
     EXPECT_NE(json.find("\"descriptors_stored\":"), std::string::npos);
   }
 
-  for (auto& daemon : ring.daemons) EXPECT_TRUE(daemon->Terminate());
+  for (auto& daemon : ring.daemons) {
+    EXPECT_TRUE(daemon->Terminate(kTerminateTimeout));
+  }
 }
 
 TEST(LiveRingTest, StoppedPeerCostsTimeoutsKilledPeerFailsOver) {
-  const std::string binary = NodeBinary();
+  const std::string binary = live::ToolBinary("p2prange_node");
   ASSERT_FALSE(binary.empty()) << "p2prange_node not built next to tests";
   Ring ring = SpawnRing(binary, 3);
 
@@ -360,7 +255,7 @@ TEST(LiveRingTest, StoppedPeerCostsTimeoutsKilledPeerFailsOver) {
   // A stopped (SIGSTOP) peer still owns a socket the kernel accepts
   // on, so probes to it die by deadline: timeouts and FaultPolicy
   // retransmissions must show up in the client's counters.
-  ring.daemons[victim]->Stop();
+  ring.daemons[victim]->Signal(SIGSTOP);
   const rpc::RpcStats& stats = (*client)->transport().rpc_stats();
   int answered = 0;
   for (size_t i = 0; i < kStopQueries && stats.timeouts == 0; ++i) {
@@ -376,7 +271,7 @@ TEST(LiveRingTest, StoppedPeerCostsTimeoutsKilledPeerFailsOver) {
 
   // Killed outright, the peer refuses connections: probes fail over to
   // the replica without eating a deadline, and answers keep coming.
-  ring.daemons[victim]->Resume();
+  ring.daemons[victim]->Signal(SIGCONT);
   ring.daemons[victim]->Kill();
   bool saw_failover = false;
   for (size_t i = 0; i < published.size(); ++i) {
@@ -392,13 +287,13 @@ TEST(LiveRingTest, StoppedPeerCostsTimeoutsKilledPeerFailsOver) {
 
   for (size_t m = 0; m < ring.daemons.size(); ++m) {
     if (m != victim) {
-      EXPECT_TRUE(ring.daemons[m]->Terminate());
+      EXPECT_TRUE(ring.daemons[m]->Terminate(kTerminateTimeout));
     }
   }
 }
 
 TEST(LiveRingTest, RestartedDaemonStillServesItsDescriptors) {
-  const std::string binary = NodeBinary();
+  const std::string binary = live::ToolBinary("p2prange_node");
   ASSERT_FALSE(binary.empty()) << "p2prange_node not built next to tests";
   Ring ring = SpawnRing(binary, 1);
 
@@ -413,11 +308,10 @@ TEST(LiveRingTest, RestartedDaemonStillServesItsDescriptors) {
   ASSERT_FALSE(before->ranked.empty());
 
   // Clean shutdown, then a new process on the same port and WAL dir.
-  ASSERT_TRUE(ring.daemons[0]->Terminate());
+  ASSERT_TRUE(ring.daemons[0]->Terminate(kTerminateTimeout));
   (*client)->transport().Disconnect(ring.members[0]);
-  ring.daemons[0] = std::make_unique<Daemon>(
-      binary, ring.members[0], ring.daemons[0]->wal_dir(),
-      ring.daemons[0]->metrics_json());
+  ring.daemons[0] =
+      StartDaemon(binary, ring.members[0], ring.daemons[0]->wal_dir());
   ASSERT_TRUE(AwaitReady(**client, ring.members));
 
   auto after = (*client)->Lookup(key);
@@ -426,7 +320,7 @@ TEST(LiveRingTest, RestartedDaemonStillServesItsDescriptors) {
       << "descriptors did not survive the restart";
   EXPECT_EQ(after->ranked.front().descriptor.key, key);
 
-  EXPECT_TRUE(ring.daemons[0]->Terminate());
+  EXPECT_TRUE(ring.daemons[0]->Terminate(kTerminateTimeout));
 }
 
 }  // namespace

@@ -277,6 +277,25 @@ TEST(RingClientTest, BatchedAndUnbatchedLookupsAgree) {
   EXPECT_EQ(without->probes_failed, 0);
 }
 
+TEST(RingClientTest, PartitionAnsweringEveryProbeIsRankedOnce) {
+  // Every one of the l buckets holds the published partition, so every
+  // probe answers with the same descriptor; the ranked list holds it
+  // once.
+  MiniRing ring(2);
+  auto client = RingClient::Make(ring.members(), SmallLshOptions());
+  ASSERT_TRUE(client.ok());
+  const PartitionKey published{"T", "a", Range(100, 200)};
+  ASSERT_TRUE((*client)->Publish(published, ring.members()[0]).ok());
+
+  auto outcome = (*client)->Lookup(published);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->identifiers.size(), 5u);
+  EXPECT_EQ(outcome->probes_failed, 0);
+  ASSERT_EQ(outcome->ranked.size(), 1u);
+  EXPECT_EQ(outcome->ranked.front().descriptor.key, published);
+  EXPECT_TRUE(outcome->ranked.front().exact);
+}
+
 TEST(RingClientTest, ShedReplicaFailsOverWithoutRetries) {
   // A peer at capacity sheds everything with ResourceExhausted. The
   // shed is not transient loss: the client must fail over to the next

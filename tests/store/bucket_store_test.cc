@@ -78,6 +78,32 @@ TEST(BucketStoreTest, CriterionChangesTheWinner) {
   EXPECT_FALSE(containment->exact);
 }
 
+TEST(BucketStoreTest, ContainmentTieGoesToTheExactMatch) {
+  // Under containment a superset of the query scores 1.0, the same as
+  // the query's own range; the exact match must win the tie even when
+  // the superset sits first in the bucket.
+  BucketStore store;
+  store.Insert(7, Desc(0, 100));
+  store.Insert(7, Desc(40, 60));
+  auto m = store.BestMatch(7, Key(40, 60), MatchCriterion::kContainment);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->descriptor.key.range, Range(40, 60));
+  EXPECT_TRUE(m->exact);
+  EXPECT_DOUBLE_EQ(m->similarity, 1.0);
+}
+
+TEST(BucketStoreTest, ContainmentTieGoesToTheExactMatchAnywhere) {
+  // The peer index visits [40,100] before [40,60] (same start, longer
+  // range sorts later and the walk runs backwards).
+  BucketStore store;
+  store.Insert(3, Desc(40, 100));
+  store.Insert(9, Desc(40, 60));
+  auto m = store.BestMatchAnywhere(Key(40, 60), MatchCriterion::kContainment);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->descriptor.key.range, Range(40, 60));
+  EXPECT_TRUE(m->exact);
+}
+
 TEST(BucketStoreTest, MatchIgnoresOtherColumns) {
   BucketStore store;
   store.Insert(7, PartitionDescriptor{Key(40, 60, "Other"), NetAddress{1, 1}});
@@ -161,6 +187,69 @@ TEST(BucketStoreTest, UnboundedStoreNeverEvicts) {
   }
   EXPECT_EQ(store.num_descriptors(), 500u);
   EXPECT_EQ(store.evictions(), 0u);
+}
+
+MatchCandidate Candidate(uint32_t lo, uint32_t hi, double score,
+                         bool exact = false, uint16_t holder_port = 1) {
+  return MatchCandidate{Desc(lo, hi, holder_port), score, exact};
+}
+
+std::vector<Range> RangesOf(const std::vector<MatchCandidate>& candidates) {
+  std::vector<Range> out;
+  for (const MatchCandidate& c : candidates) {
+    out.push_back(c.descriptor.key.range);
+  }
+  return out;
+}
+
+TEST(MatchRuleTest, HigherScoreRanksFirstAndExactWinsATie) {
+  EXPECT_TRUE(RanksBefore(0.9, false, 0.5, true));
+  EXPECT_FALSE(RanksBefore(0.5, true, 0.9, false));
+  EXPECT_TRUE(RanksBefore(1.0, true, 1.0, false));
+  EXPECT_FALSE(RanksBefore(1.0, false, 1.0, true));
+  // Equal candidates rank neither way (a strict weak order).
+  EXPECT_FALSE(RanksBefore(0.5, false, 0.5, false));
+  EXPECT_FALSE(RanksBefore(1.0, true, 1.0, true));
+}
+
+TEST(MatchRuleTest, RankOrdersByScoreThenExactnessStableAmongEquals) {
+  std::vector<MatchCandidate> candidates = {
+      Candidate(0, 10, 0.5), Candidate(20, 30, 0.9),
+      Candidate(40, 50, 0.5), Candidate(60, 70, 0.9, /*exact=*/true),
+      Candidate(80, 90, 0.5)};
+  RankCandidates(&candidates);
+  EXPECT_EQ(RangesOf(candidates),
+            (std::vector<Range>{Range(60, 70), Range(20, 30), Range(0, 10),
+                                Range(40, 50), Range(80, 90)}));
+}
+
+TEST(MatchRuleTest, DedupeKeepsTheFirstCopyOfEachDescriptor) {
+  std::vector<MatchCandidate> candidates = {
+      Candidate(0, 10, 0.3), Candidate(20, 30, 0.6),
+      Candidate(0, 10, 0.7),  // a later copy of the first descriptor
+      Candidate(0, 10, 0.3, false, /*holder_port=*/2)};
+  DedupeDescriptors(&candidates);
+  ASSERT_EQ(candidates.size(), 3u);
+  EXPECT_DOUBLE_EQ(candidates[0].similarity, 0.3) << "first copy kept";
+  EXPECT_EQ(candidates[1].descriptor.key.range, Range(20, 30));
+  // One key held at two holders is two answers.
+  EXPECT_EQ(candidates[2].descriptor.key.range, Range(0, 10));
+  EXPECT_EQ(candidates[2].descriptor.holder.port, 2u);
+}
+
+TEST(MatchRuleTest, RankDedupesBeforeSorting) {
+  std::vector<MatchCandidate> candidates = {
+      Candidate(0, 10, 0.5), Candidate(20, 30, 0.9), Candidate(0, 10, 0.5),
+      Candidate(20, 30, 0.9)};
+  RankCandidates(&candidates);
+  EXPECT_EQ(RangesOf(candidates),
+            (std::vector<Range>{Range(20, 30), Range(0, 10)}));
+}
+
+TEST(MatchRuleTest, OnlyAnExactBestMatchAvoidsThePublish) {
+  EXPECT_TRUE(MissesExact({}));
+  EXPECT_TRUE(MissesExact({Candidate(0, 100, 1.0)}));
+  EXPECT_FALSE(MissesExact({Candidate(40, 60, 1.0, /*exact=*/true)}));
 }
 
 TEST(MatchCriterionTest, Names) {
