@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the performance-critical
 // primitives: permutation evaluation, range hashing, LSH identifier
-// computation, SHA-1, Chord lookups, and bucket matching.
+// computation, SHA-1, Chord lookups (the heavy ring and the engine's
+// compact router), and bucket matching.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include "rpc/frame.h"
 #include "rpc/message.h"
 #include "rpc/tcp_transport.h"
+#include "sim/engine/compact_overlay.h"
 #include "store/bucket_store.h"
 
 namespace p2prange {
@@ -137,6 +139,33 @@ void BM_ChordLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChordLookup)->Arg(100)->Arg(1000)->Arg(5000);
+
+// The scenario engine's compact Chord router at engine scale, with ~1%
+// of slots dead so successor lookups sometimes step over dead peers.
+// Origins and targets cycle through 1024 pre-drawn pairs.
+void BM_CompactChordRoute(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  auto net = sim::MakeCompactOverlay(overlay::Kind::kChord, n, 11, 2);
+  CHECK(net.ok());
+  Rng rng(13);
+  for (size_t i = 0; i < n / 100; ++i) {
+    (*net)->SetAlive(static_cast<uint32_t>(rng.NextBounded(n)), false);
+  }
+  std::vector<std::pair<uint32_t, uint32_t>> routes(1024);
+  for (auto& [origin, id] : routes) {
+    origin = (*net)->RandomAliveSlot(rng);
+    id = rng.Next32();
+  }
+  size_t i = 0;
+  int hops = 0;
+  for (auto _ : state) {
+    const auto& [origin, id] = routes[i++ & (routes.size() - 1)];
+    benchmark::DoNotOptimize((*net)->Route(origin, id, &hops));
+  }
+  state.counters["hops_per_route"] = benchmark::Counter(
+      static_cast<double>(hops) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_CompactChordRoute)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_BucketBestMatch(benchmark::State& state) {
   BucketStore store;

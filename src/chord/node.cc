@@ -9,13 +9,16 @@ std::optional<NodeInfo> ChordNode::ClosestPrecedingNode(
   auto consider = [&](const NodeInfo& cand) {
     if (cand.id == info_.id) return;
     if (!InOpenOpen(info_.id, target, cand.id)) return;
-    if (usable && !usable(cand)) return;
     // "Closest preceding" = largest clockwise distance from self while
-    // still strictly before the target.
-    if (!best ||
-        ClockwiseDistance(info_.id, cand.id) > ClockwiseDistance(info_.id, best->id)) {
-      best = cand;
+    // still strictly before the target. Distances are compared before
+    // `usable` runs (the caller's liveness lookup): a descending finger
+    // scan then asks it about once per hop.
+    if (best &&
+        ClockwiseDistance(info_.id, cand.id) <= ClockwiseDistance(info_.id, best->id)) {
+      return;
     }
+    if (usable && !usable(cand)) return;
+    best = cand;
   };
   for (int i = FingerTable::size() - 1; i >= 0; --i) {
     if (fingers_.entry(i)) consider(*fingers_.entry(i));

@@ -76,8 +76,10 @@ class ChordNode {
   /// \brief The local routing decision of the Chord lookup: the
   /// closest node strictly preceding `target` among this node's
   /// fingers and successor list, restricted to nodes accepted by
-  /// `usable` (the caller's failure knowledge). Returns nullopt when
-  /// no known node improves on self.
+  /// `usable` (the caller's failure knowledge). `usable` must be a pure
+  /// predicate: it is asked only about candidates that would beat the
+  /// best usable one found so far. Returns nullopt when no known node
+  /// improves on self.
   std::optional<NodeInfo> ClosestPrecedingNode(
       ChordId target, const std::function<bool(const NodeInfo&)>& usable) const;
 

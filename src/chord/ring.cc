@@ -51,14 +51,7 @@ Result<NodeInfo> ChordRing::CreateNode() {
     addr.port = static_cast<uint16_t>(1024 + rng_.NextBounded(60000));
     if (nodes_.contains(addr)) continue;
     const ChordId id = Sha1::Hash32(addr.ToString());
-    bool id_taken = false;
-    for (const auto& [a, n] : nodes_) {
-      if (n->id() == id) {
-        id_taken = true;
-        break;
-      }
-    }
-    if (id_taken) continue;
+    if (!taken_ids_.insert(id).second) continue;
     auto node = std::make_unique<ChordNode>(id, addr);
     const NodeInfo info = node->info();
     net_->Register(addr);

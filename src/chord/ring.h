@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "chord/node.h"
@@ -153,6 +154,8 @@ class ChordRing {
   std::unique_ptr<rpc::Transport> net_;
   std::unordered_map<NetAddress, std::unique_ptr<ChordNode>, NetAddressHash> nodes_;
   std::vector<NetAddress> addresses_;  // insertion order, includes dead peers
+  /// Identifiers of every node ever created (nodes are never erased).
+  std::unordered_set<ChordId> taken_ids_;
 
   mutable std::vector<NodeInfo> sorted_alive_;
   mutable bool sorted_dirty_ = true;

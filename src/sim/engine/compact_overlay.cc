@@ -1,7 +1,9 @@
 #include "sim/engine/compact_overlay.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "can/zone.h"
 #include "common/logging.h"
@@ -44,6 +46,16 @@ size_t AliveIndex::CountIn(uint32_t begin, uint32_t end) const {
 
 uint32_t AliveIndex::NextAliveWrapping(uint32_t slot) const {
   DCHECK_GT(num_alive_, 0u);
+  // Almost every slot asked about is alive or a few slots short of a
+  // live one: scan one cache line of flags before walking the tree.
+  if (slot < alive_.size()) {
+    const size_t len = std::min(kScanWindow, alive_.size() - slot);
+    const void* hit = std::memchr(alive_.data() + slot, 1, len);
+    if (hit != nullptr) {
+      return static_cast<uint32_t>(static_cast<const uint8_t*>(hit) -
+                                   alive_.data());
+    }
+  }
   const size_t before = CountBefore(slot);
   // `before` alive slots precede `slot`; the next alive slot is the
   // (before)-th overall unless we ran off the end — then wrap.
@@ -67,17 +79,28 @@ uint32_t AliveIndex::SelectAlive(size_t k) const {
   return static_cast<uint32_t>(pos);  // tree_ is 1-based: prefix len == slot
 }
 
+// ------------------------------------------------------------ RankDirectory
+
+RankDirectory::RankDirectory(const std::vector<uint32_t>& ids) {
+  const size_t n = ids.size();
+  const int bits = std::max(0, static_cast<int>(std::bit_width(n)) - 4);
+  shift_ = 32 - bits;
+  const size_t buckets = size_t{1} << bits;
+  first_rank_.assign(buckets + 1, static_cast<uint32_t>(n));
+  // Each bucket's first rank, then an empty bucket takes its
+  // successor's. O(n), no data-dependent branch.
+  for (size_t r = n; r-- > 0;) {
+    first_rank_[uint64_t{ids[r]} >> shift_] = static_cast<uint32_t>(r);
+  }
+  for (size_t j = buckets; j-- > 0;) {
+    first_rank_[j] = std::min(first_rank_[j], first_rank_[j + 1]);
+  }
+}
+
 // ------------------------------------------------------------ CompactOverlay
 
 CompactOverlay::CompactOverlay(std::vector<uint32_t> ids)
     : ids_(std::move(ids)), alive_(ids_.size()) {}
-
-uint32_t CompactOverlay::AliveSuccessorOfId(uint32_t id) const {
-  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
-  const uint32_t rank =
-      it == ids_.end() ? 0 : static_cast<uint32_t>(it - ids_.begin());
-  return alive_.NextAliveWrapping(rank);
-}
 
 uint32_t CompactOverlay::ReplicaSlot(uint32_t owner, int k) const {
   uint32_t slot = owner;
@@ -103,7 +126,7 @@ namespace {
 class CompactChord final : public CompactOverlay {
  public:
   explicit CompactChord(std::vector<uint32_t> ids)
-      : CompactOverlay(std::move(ids)) {}
+      : CompactOverlay(std::move(ids)), rank_dir_(ids_) {}
 
   overlay::Kind kind() const override { return overlay::Kind::kChord; }
 
@@ -135,6 +158,20 @@ class CompactChord final : public CompactOverlay {
     }
     return owner;
   }
+
+  uint64_t MemoryBytes() const override {
+    return CompactOverlay::MemoryBytes() + rank_dir_.MemoryBytes();
+  }
+
+ private:
+  /// Successor slot of `id` on the identifier ring, alive slots only.
+  uint32_t AliveSuccessorOfId(uint32_t id) const {
+    const size_t rank = rank_dir_.LowerBound(ids_, id);
+    return alive_.NextAliveWrapping(
+        rank == ids_.size() ? 0 : static_cast<uint32_t>(rank));
+  }
+
+  RankDirectory rank_dir_;  ///< ids_ never change after construction
 };
 
 // --------------------------------------------------------------- CompactCan

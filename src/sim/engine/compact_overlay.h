@@ -5,13 +5,16 @@
 // cost kilobytes per peer — fine at 10^3 peers, hopeless at 10^6. The
 // engine instead routes over *compact* models: a single sorted array
 // of peer identifiers plus a Fenwick tree of alive flags, ~10 bytes
-// per peer, with each substrate's hop count derived from the same
+// per peer (Chord adds a rank directory of at most half a byte per
+// peer), with each substrate's hop count derived from the same
 // structural rules its heavy twin implements (Chord finger descent,
 // CAN torus walks on a d-dimensional grid, Tapestry digit
 // resolution). Peer "slots" are ranks in identifier order.
 #ifndef P2PRANGE_SIM_ENGINE_COMPACT_OVERLAY_H_
 #define P2PRANGE_SIM_ENGINE_COMPACT_OVERLAY_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -25,7 +28,9 @@ namespace sim {
 
 /// \brief Alive-set index: per-slot flags plus a Fenwick tree of
 /// counts, so "first alive slot >= r (wrapping)" and "k-th alive
-/// slot in [a, b)" are O(log n).
+/// slot in [a, b)" are O(log n). NextAliveWrapping first scans
+/// kScanWindow flags, so it walks the tree only when all of them are
+/// dead or past the end: after a long dead run, or to wrap.
 class AliveIndex {
  public:
   explicit AliveIndex(size_t n);
@@ -44,6 +49,10 @@ class AliveIndex {
   /// num_alive() > 0.
   uint32_t NextAliveWrapping(uint32_t slot) const;
 
+  /// Flags NextAliveWrapping scans before it falls back to the tree:
+  /// a cache line's worth of one-byte flags.
+  static constexpr size_t kScanWindow = 64;
+
   /// The k-th (0-based) alive slot overall. Requires k < num_alive().
   uint32_t SelectAlive(size_t k) const;
 
@@ -56,6 +65,40 @@ class AliveIndex {
   std::vector<uint8_t> alive_;
   std::vector<uint32_t> tree_;  ///< Fenwick tree over alive_ (1-based)
   size_t num_alive_ = 0;
+};
+
+/// \brief Rank directory over a sorted identifier array: the first
+/// rank at or past the start of each bucket of the top
+/// b = max(0, floor(log2 n) - 3) id bits. Buckets then hold ~8-16 ids,
+/// so a lower_bound searches one bucket, not the whole array. It has
+/// 2^b + 1 <= max(n/8, 1) + 1 entries: at most half a byte per id once
+/// n >= 16.
+class RankDirectory {
+ public:
+  /// `ids` must be sorted; the directory stays valid while they do not
+  /// change.
+  explicit RankDirectory(const std::vector<uint32_t>& ids);
+
+  /// First rank whose id is >= `id` in the array the directory was
+  /// built from, or ids.size() when there is none.
+  size_t LowerBound(const std::vector<uint32_t>& ids, uint32_t id) const {
+    const size_t j = static_cast<size_t>(uint64_t{id} >> shift_);
+    // Every id in a later bucket exceeds `id`, so the answer lies in
+    // `id`'s bucket or is the next bucket's first rank.
+    return static_cast<size_t>(
+        std::lower_bound(
+            ids.begin() + static_cast<ptrdiff_t>(first_rank_[j]),
+            ids.begin() + static_cast<ptrdiff_t>(first_rank_[j + 1]), id) -
+        ids.begin());
+  }
+
+  uint64_t MemoryBytes() const {
+    return first_rank_.capacity() * sizeof(uint32_t);
+  }
+
+ private:
+  std::vector<uint32_t> first_rank_;  ///< first_rank_[2^b] == n
+  int shift_ = 32;                    ///< 32 - b: id >> shift_ is the bucket
 };
 
 /// \brief Substrate-shaped routing over the compact peer table.
@@ -99,9 +142,6 @@ class CompactOverlay {
  protected:
   /// `ids` must be sorted strictly increasing; slot i owns ids[i].
   explicit CompactOverlay(std::vector<uint32_t> ids);
-
-  /// Successor slot of `id` on the identifier ring, alive slots only.
-  uint32_t AliveSuccessorOfId(uint32_t id) const;
 
   std::vector<uint32_t> ids_;
   AliveIndex alive_;

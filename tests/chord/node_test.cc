@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
+#include "common/random.h"
+
 namespace p2prange {
 namespace chord {
 namespace {
@@ -101,6 +105,127 @@ TEST(ChordNodeTest, ClosestPrecedingWrapsTarget) {
   auto best = n.ClosestPrecedingNode(/*target=*/0x80, nullptr);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->id, 0xFFFFFF00u);
+}
+
+// The evaluation order ClosestPrecedingNode had before it compared
+// distances ahead of the liveness test: ask `usable` of every in-range
+// candidate, then keep the strictly farthest.
+std::optional<NodeInfo> ReferenceClosestPreceding(
+    const ChordNode& n, ChordId target,
+    const std::function<bool(const NodeInfo&)>& usable) {
+  std::optional<NodeInfo> best;
+  auto consider = [&](const NodeInfo& cand) {
+    if (cand.id == n.id()) return;
+    if (!InOpenOpen(n.id(), target, cand.id)) return;
+    if (usable && !usable(cand)) return;
+    if (!best || ClockwiseDistance(n.id(), cand.id) >
+                     ClockwiseDistance(n.id(), best->id)) {
+      best = cand;
+    }
+  };
+  for (int i = FingerTable::size() - 1; i >= 0; --i) {
+    if (n.fingers().entry(i)) consider(*n.fingers().entry(i));
+  }
+  for (const NodeInfo& s : n.successors()) consider(s);
+  return best;
+}
+
+// A node with random fingers (some unset) and a random successor list,
+// their ids drawn within `span` past its own. A small span makes
+// repeated ids, self entries and in-range candidates common.
+ChordNode RandomNode(Rng& rng, uint32_t span) {
+  const ChordId self = rng.Next32();
+  auto near = [&]() { return self + static_cast<ChordId>(rng.NextBounded(span)); };
+  ChordNode n(self, NetAddress{self, 1});
+  for (int i = 0; i < FingerTable::size(); ++i) {
+    if (rng.NextBernoulli(0.7)) n.mutable_fingers().set_entry(i, Info(near()));
+  }
+  const uint64_t succ = rng.NextBounded(9);
+  for (uint64_t i = 0; i < succ; ++i) n.mutable_successors().push_back(Info(near()));
+  return n;
+}
+
+TEST(ChordNodeTest, ClosestPrecedingMatchesReferenceOrder) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const uint32_t span = trial % 2 == 0 ? 64 : 0xFFFFFFFF;
+    const ChordNode n = RandomNode(rng, span);
+    const ChordId target = n.id() + static_cast<ChordId>(rng.NextBounded(span));
+    std::unordered_set<ChordId> dead;
+    const double dead_share = static_cast<double>(trial % 5) / 4.0;
+    for (int i = 0; i < FingerTable::size(); ++i) {
+      if (n.fingers().entry(i) && rng.NextBernoulli(dead_share)) {
+        dead.insert(n.fingers().entry(i)->id);
+      }
+    }
+    for (const NodeInfo& s : n.successors()) {
+      if (rng.NextBernoulli(dead_share)) dead.insert(s.id);
+    }
+    auto usable = [&](const NodeInfo& c) { return !dead.contains(c.id); };
+    const auto want = ReferenceClosestPreceding(n, target, usable);
+    const auto got = n.ClosestPrecedingNode(target, usable);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "trial " << trial;
+    if (want) {
+      ASSERT_EQ(*got, *want) << "trial " << trial;
+    }
+    ASSERT_EQ(n.ClosestPrecedingNode(target, nullptr),
+              ReferenceClosestPreceding(n, target, nullptr))
+        << "trial " << trial;
+  }
+}
+
+// `usable` runs only for a candidate that would beat the best usable
+// candidate so far; with a descending finger scan over live peers that
+// is once per hop.
+TEST(ChordNodeTest, ClosestPrecedingAsksUsableOnlyOfImprovingCandidates) {
+  Rng rng(99);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const ChordNode n = RandomNode(rng, 0xFFFFFFFF);
+    const ChordId target = rng.Next32();
+    std::unordered_set<ChordId> dead;
+    for (int i = 0; i < FingerTable::size(); ++i) {
+      if (n.fingers().entry(i) && rng.NextBernoulli(0.3)) {
+        dead.insert(n.fingers().entry(i)->id);
+      }
+    }
+    // Improving candidates: in range, and strictly farther than the
+    // best usable candidate seen before them in evaluation order.
+    int improving = 0;
+    std::optional<uint32_t> best_dist;
+    auto count = [&](const NodeInfo& c) {
+      if (c.id == n.id() || !InOpenOpen(n.id(), target, c.id)) return;
+      const uint32_t d = ClockwiseDistance(n.id(), c.id);
+      if (best_dist && d <= *best_dist) return;
+      ++improving;
+      if (!dead.contains(c.id)) best_dist = d;
+    };
+    for (int i = FingerTable::size() - 1; i >= 0; --i) {
+      if (n.fingers().entry(i)) count(*n.fingers().entry(i));
+    }
+    for (const NodeInfo& s : n.successors()) count(s);
+
+    int calls = 0;
+    auto usable = [&](const NodeInfo& c) {
+      ++calls;
+      return !dead.contains(c.id);
+    };
+    (void)n.ClosestPrecedingNode(target, usable);
+    ASSERT_LE(calls, improving) << "trial " << trial;
+  }
+
+  // A perfect finger table, every peer alive: one call per decision.
+  ChordNode n(0, NetAddress{0, 0});
+  for (int i = 0; i < FingerTable::size(); ++i) {
+    n.mutable_fingers().set_entry(i, Info(FingerStart(0, i)));
+  }
+  int calls = 0;
+  auto best = n.ClosestPrecedingNode(0x12345678, [&](const NodeInfo&) {
+    ++calls;
+    return true;
+  });
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->id, 0x10000000u);
+  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "sim/engine/compact_overlay.h"
 #include "sim/engine/event_queue.h"
@@ -109,6 +112,172 @@ TEST(AliveIndexTest, CountsSelectsAndWraps) {
   EXPECT_EQ(idx.SelectAlive(6), 8u);
   idx.Set(0, true);
   EXPECT_EQ(idx.SelectAlive(0), 0u);
+}
+
+// The first alive slot at or after each of slots [0, n), wrapping, by
+// one backward pass over the flags (the plain reference). Needs one
+// alive slot.
+template <typename IsAlive>
+std::vector<uint32_t> ReferenceNextAlive(size_t n, const IsAlive& is_alive) {
+  std::vector<uint32_t> next(n);
+  uint32_t upcoming = 0;
+  while (!is_alive(upcoming)) ++upcoming;  // wraps: nothing alive past the end
+  for (size_t i = n; i-- > 0;) {
+    if (is_alive(static_cast<uint32_t>(i))) upcoming = static_cast<uint32_t>(i);
+    next[i] = upcoming;
+  }
+  return next;
+}
+
+void ExpectNextAliveMatchesReference(const AliveIndex& idx,
+                                     const std::string& label) {
+  const std::vector<uint32_t> want = ReferenceNextAlive(
+      idx.size(), [&](uint32_t slot) { return idx.IsAlive(slot); });
+  for (uint32_t slot = 0; slot < idx.size(); ++slot) {
+    ASSERT_EQ(idx.NextAliveWrapping(slot), want[slot])
+        << label << " n=" << idx.size() << " slot=" << slot;
+  }
+}
+
+TEST(AliveIndexTest, NextAliveWrappingMatchesLinearScan) {
+  Rng rng(17);
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{63}, size_t{64},
+                         size_t{65}, size_t{10000}}) {
+    AliveIndex idx(n);
+    ExpectNextAliveMatchesReference(idx, "all alive");
+
+    // Random patterns, dense to sparse.
+    for (const double alive_share : {0.99, 0.5, 0.05, 0.005}) {
+      for (uint32_t i = 0; i < n; ++i) idx.Set(i, rng.NextBernoulli(alive_share));
+      if (idx.num_alive() == 0) idx.Set(static_cast<uint32_t>(n - 1), true);
+      ExpectNextAliveMatchesReference(idx, "random");
+    }
+
+    // A single live slot: at the front, the back, and the middle.
+    for (const uint32_t live : {uint32_t{0}, static_cast<uint32_t>(n - 1),
+                                static_cast<uint32_t>(n / 2)}) {
+      for (uint32_t i = 0; i < n; ++i) idx.Set(i, i == live);
+      ExpectNextAliveMatchesReference(idx, "single live slot");
+    }
+
+    // A dead run longer than the scan window in the middle, and a dead
+    // tail that forces a wrap.
+    for (uint32_t i = 0; i < n; ++i) idx.Set(i, true);
+    const size_t run = AliveIndex::kScanWindow * 3 + 7;
+    for (size_t i = n / 3; i < std::min(n, n / 3 + run); ++i) {
+      idx.Set(static_cast<uint32_t>(i), false);
+    }
+    if (idx.num_alive() > 0) ExpectNextAliveMatchesReference(idx, "dead run");
+    for (size_t i = n > run ? n - run : 1; i < n; ++i) {
+      idx.Set(static_cast<uint32_t>(i), false);
+    }
+    idx.Set(0, true);
+    ExpectNextAliveMatchesReference(idx, "dead tail");
+  }
+}
+
+// Crafted id sets the random-id engine rarely draws: empty buckets,
+// ids on bucket boundaries, ids 0 and 0xFFFFFFFF, and one dense
+// cluster. Checked against lower_bound over the whole array.
+TEST(RankDirectoryTest, LowerBoundMatchesFullArraySearch) {
+  Rng rng(31);
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{8},
+                         size_t{9}, size_t{16}, size_t{17}, size_t{1000},
+                         size_t{100000}}) {
+    int bits = 0;
+    while ((size_t{16} << bits) <= n) ++bits;  // max(0, floor(log2 n) - 3)
+    const int shift = 32 - bits;
+    auto boundary = [&](uint64_t j) {
+      return static_cast<uint32_t>(j << shift);
+    };
+    std::vector<std::vector<uint32_t>> sets(4);
+    for (size_t i = 0; i < n; ++i) {
+      sets[0].push_back(rng.Next32());                              // random
+      sets[1].push_back(0x40000000u + static_cast<uint32_t>(i));    // cluster
+      sets[2].push_back(boundary(rng.NextBounded(uint64_t{1} << bits)) +
+                        static_cast<uint32_t>(rng.NextBounded(3)) - 1);
+    }
+    sets[3] = sets[0];
+    sets[3].front() = 0;
+    sets[3].back() = 0xFFFFFFFF;
+    for (auto& ids : sets) std::sort(ids.begin(), ids.end());
+
+    for (const std::vector<uint32_t>& ids : sets) {
+      const RankDirectory dir(ids);
+      EXPECT_LE(dir.MemoryBytes(),
+                sizeof(uint32_t) * (std::max<size_t>(n / 8, 1) + 1))
+          << "n=" << n;
+      std::vector<uint32_t> probes = {0, 1, 0xFFFFFFFE, 0xFFFFFFFF};
+      for (uint64_t j = 0; j <= (uint64_t{1} << bits); ++j) {
+        probes.push_back(boundary(j));
+        probes.push_back(boundary(j) - 1);
+      }
+      for (size_t i = 0; i < ids.size() && i < 3000; ++i) {
+        probes.push_back(ids[i]);
+        probes.push_back(ids[i] + 1);
+      }
+      for (int i = 0; i < 1000; ++i) probes.push_back(rng.Next32());
+      for (const uint32_t id : probes) {
+        const size_t want = static_cast<size_t>(
+            std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
+        ASSERT_EQ(dir.LowerBound(ids, id), want) << "n=" << n << " id=" << id;
+      }
+    }
+  }
+}
+
+// The Chord model's owner (the rank directory, then the next alive
+// slot) against a lower_bound over the whole id array plus the next
+// alive slot from a linear pass.
+uint32_t ReferenceOwner(const std::vector<uint32_t>& ids,
+                        const std::vector<uint32_t>& next_alive, uint32_t id) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  return next_alive[it == ids.end() ? 0 : static_cast<size_t>(it - ids.begin())];
+}
+
+TEST(CompactChordTest, OwnerMatchesFullArraySearch) {
+  Rng rng(23);
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{8},
+                         size_t{9}, size_t{1000}, size_t{100000}}) {
+    auto made = MakeCompactOverlay(overlay::Kind::kChord, n, n + 5, 2);
+    ASSERT_TRUE(made.ok()) << made.status();
+    CompactOverlay& net = **made;
+    std::vector<uint32_t> ids(n);
+    for (uint32_t slot = 0; slot < n; ++slot) ids[slot] = net.id_of(slot);
+    int bits = 0;
+    while ((size_t{16} << bits) <= n) ++bits;  // the directory's id bits
+
+    std::vector<uint32_t> probes = {0, 1, 0xFFFFFFFF, 0xFFFFFFFE};
+    for (uint64_t j = 0; j < (uint64_t{1} << bits); ++j) {
+      const uint32_t start = static_cast<uint32_t>(j << (32 - bits));
+      probes.push_back(start);
+      probes.push_back(start - 1);
+      probes.push_back(start + 1);
+    }
+    for (uint32_t slot = 0; slot < n && slot < 2000; ++slot) {
+      probes.push_back(net.id_of(slot));
+      probes.push_back(net.id_of(slot) + 1);
+    }
+    for (int i = 0; i < 2000; ++i) probes.push_back(rng.Next32());
+
+    // Every slot alive, then ~10% dead, then all but one dead.
+    for (int phase = 0; phase < 3; ++phase) {
+      if (phase == 1) {
+        for (size_t i = 0; i < n / 10; ++i) {
+          net.SetAlive(static_cast<uint32_t>(rng.NextBounded(n)), false);
+        }
+      } else if (phase == 2) {
+        for (uint32_t i = 0; i < n; ++i) net.SetAlive(i, i == n / 2);
+      }
+      if (net.num_alive() == 0) net.SetAlive(0, true);
+      const std::vector<uint32_t> next_alive = ReferenceNextAlive(
+          n, [&](uint32_t slot) { return net.IsAlive(slot); });
+      for (const uint32_t id : probes) {
+        ASSERT_EQ(net.Owner(id), ReferenceOwner(ids, next_alive, id))
+            << "n=" << n << " phase=" << phase << " id=" << id;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- scenarios
