@@ -13,7 +13,8 @@
 //     fetch parks the loop for milliseconds, so every probe queued
 //     behind it stalls (head-of-line blocking).
 //   * worker_pool          — workers=4: the poll loop stays the socket
-//     owner but handler work runs on the executor's worker threads.
+//     owner and answers probes inline, while the bulk fetches run on
+//     the executor's worker threads (rpc::IsPooledRequest).
 //   * worker_pool_batched  — workers=4 and kMultiOp batching on: the
 //     client's first probe wave coalesces same-owner probes into one
 //     frame.
@@ -22,11 +23,14 @@
 // latency under that bulk pressure; the headline number is the QPS
 // ratio of the full configuration over the single-loop baseline.
 //
-// A second, open-loop phase aims a pipelined probe burst far beyond
-// service capacity at one small-queue daemon and verifies the
-// admission controller holds: overflow is shed with ResourceExhausted,
-// every in-flight call resolves (no hung clients), and the daemon
-// answers pings afterwards and exits cleanly.
+// A second, open-loop phase aims a pipelined burst of partition
+// fetches far beyond service capacity at one small-queue daemon and
+// verifies the admission controller holds: overflow is shed with
+// ResourceExhausted, every in-flight call resolves (no hung clients),
+// and the daemon answers pings afterwards and exits cleanly. The burst
+// is fetches because only pooled requests (rpc::IsPooledRequest) pass
+// through the work queue; probes are answered inline by the poll loop
+// and are never shed.
 //
 // Output is one JSON object on stdout — checked in as
 // BENCH_live_ring.json so the trajectory of these numbers is tracked
@@ -110,6 +114,17 @@ double Percentile(std::vector<double>* sorted_in_place, double p) {
   return (*sorted_in_place)[idx];
 }
 
+/// A one-column partition of `rows` scattered int64 values: what the
+/// bulk fetches of both phases pull from a daemon.
+Relation BulkTuples(size_t rows) {
+  Schema schema({Field{"v", ValueType::kInt64, AttributeDomain{0, 1 << 30}}});
+  Relation tuples("B", schema);
+  for (size_t r = 0; r < rows; ++r) {
+    CHECK(tuples.Append({Value(static_cast<int64_t>(r * 2654435761u))}).ok());
+  }
+  return tuples;
+}
+
 // --- Closed-loop phase --------------------------------------------------
 
 struct LoopConfig {
@@ -181,13 +196,7 @@ LoopResult RunClosedLoop(const std::string& binary, const std::string& scratch,
   // fetches these, and serving one costs the daemon milliseconds of
   // encode work — the op a single poll loop cannot take off the
   // critical path of everyone else's probes.
-  Schema bulk_schema(
-      {Field{"v", ValueType::kInt64, AttributeDomain{0, 1 << 30}}});
-  Relation bulk_tuples("B", bulk_schema);
-  for (size_t r = 0; r < bulk_rows; ++r) {
-    CHECK(bulk_tuples.Append({Value(static_cast<int64_t>(r * 2654435761u))})
-              .ok());
-  }
+  const Relation bulk_tuples = BulkTuples(bulk_rows);
   std::vector<PartitionKey> bulk_keys;
   for (size_t i = 0; i < daemons.size(); ++i) {
     bulk_keys.push_back(PartitionKey{
@@ -298,7 +307,7 @@ struct OverloadResult {
 };
 
 OverloadResult RunOverload(const std::string& binary,
-                           const std::string& scratch, size_t descriptors,
+                           const std::string& scratch, size_t rows,
                            size_t burst_per_thread, size_t threads_n) {
   OverloadResult result;
   const std::string dir = scratch + "/overload";
@@ -314,25 +323,14 @@ OverloadResult RunOverload(const std::string& binary,
   CHECK(live::AwaitPing(**control, daemon->address()))
       << "daemon never came up";
 
-  // One fat bucket: every probe scans `descriptors` candidates, so a
-  // probe costs real worker time and the queue actually fills.
-  rpc::StoreDescriptorRequest store;
-  store.bucket = 1;
-  UniformRangeGenerator gen(kDomainLo, kDomainHi, kSeed ^ 0xfeed);
-  for (size_t i = 0; i < descriptors; ++i) {
-    store.descriptor =
-        PartitionDescriptor{PartitionKey{"T", "a", gen.Next()},
-                            daemon->address()};
-    auto stored = (*control)->transport().Call(
-        NetAddress{}, daemon->address(), rpc::MsgType::kStoreDescriptor,
-        rpc::EncodeStoreDescriptorRequest(store));
-    CHECK(stored.ok()) << stored.status();
-  }
-
-  rpc::ProbeBucketRequest probe;
-  probe.bucket = 1;
-  probe.query = PartitionKey{"T", "a", Range(kDomainLo, kDomainHi)};
-  const std::string probe_body = rpc::EncodeProbeBucketRequest(probe);
+  // One materialized partition: every fetch encodes `rows` tuples on a
+  // worker, so a fetch costs real worker time and the queue actually
+  // fills.
+  const PartitionKey key{"B", "v", Range(0, 1)};
+  const Status stored =
+      (*control)->StorePartition(key, BulkTuples(rows), daemon->address());
+  CHECK(stored.ok()) << stored;
+  const std::string fetch_body = rpc::EncodeFetchPartitionRequest(key);
 
   // Open loop: each thread fires its whole burst before waiting for
   // anything, then drains. Arrival rate >> service rate, so the
@@ -346,8 +344,8 @@ OverloadResult RunOverload(const std::string& binary,
       rpc::TcpTransport transport;
       std::vector<uint64_t> calls;
       for (size_t i = 0; i < burst_per_thread; ++i) {
-        auto id = transport.StartCall(target, rpc::MsgType::kProbeBucket,
-                                      probe_body);
+        auto id = transport.StartCall(target, rpc::MsgType::kFetchPartition,
+                                      fetch_body);
         if (!id.ok()) {
           ++per_thread[t].errors;
           continue;
@@ -458,7 +456,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "open loop: overload burst...\n");
   const OverloadResult overload =
-      RunOverload(binary, scratch, /*descriptors=*/smoke ? 400 : 1200,
+      RunOverload(binary, scratch, /*rows=*/smoke ? 2000 : 6000,
                   /*burst_per_thread=*/smoke ? 150 : 300,
                   /*threads_n=*/4);
   PrintJson(loops, overload, duration_s, clients, publishes);

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -17,6 +18,7 @@
 #include "hash/lsh.h"
 #include "hash/minwise.h"
 #include "hash/sha1.h"
+#include "rpc/executor.h"
 #include "rpc/frame.h"
 #include "rpc/message.h"
 #include "rpc/tcp_transport.h"
@@ -261,9 +263,13 @@ void BM_EnvelopeEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_EnvelopeEncodeDecode);
 
-void BM_TcpLoopbackCall(benchmark::State& state) {
-  // Full request/response over a real socket pair: the per-probe cost
-  // a live ring pays that the simulator only models.
+/// Full request/response over a real socket pair: the per-probe cost a
+/// live ring pays that the simulator only models. With `workers` > 0
+/// every request instead goes through an rpc::Executor — work queue,
+/// worker wake-up, completion queue, pipe doorbell — the way the
+/// worker-pool daemon serves a pooled request, so the gap between the
+/// two rows is that handoff alone.
+void RunLoopbackCalls(benchmark::State& state, int workers) {
   NetAddress bind;
   bind.host = 0x7F000001;
   bind.port = 0;
@@ -272,12 +278,32 @@ void BM_TcpLoopbackCall(benchmark::State& state) {
         return Result<std::string>(std::string(body));
       });
   CHECK(server.ok());
+  std::unique_ptr<rpc::Executor> executor;
+  if (workers > 0) {
+    auto made = rpc::Executor::Make({.workers = workers, .queue_depth = 128});
+    CHECK(made.ok());
+    executor = std::move(*made);
+    server->AddWakeFd(executor->doorbell_fd());
+    server->set_async_dispatch(
+        [&executor](uint64_t conn_id, const rpc::RpcEnvelope& env) {
+          rpc::RpcHeader h = env.header;
+          h.is_response = true;
+          CHECK(executor->TrySubmit(conn_id, [h, body = env.body] {
+            return rpc::EncodeEnvelope(h, body);
+          }));
+          return true;
+        });
+  }
   std::atomic<bool> stop{false};
   std::thread loop([&] {
     while (!stop) {
       // Bench loop: poll errors surface as latency in the measured
       // path; the server thread itself just keeps pumping.
       server->PollOnce(/*timeout_ms=*/1).IgnoreError();
+      if (executor == nullptr) continue;
+      for (auto& done : executor->DrainCompletions()) {
+        server->Respond(done.tag, done.payload);
+      }
     }
   });
   rpc::TcpTransport transport;
@@ -295,7 +321,16 @@ void BM_TcpLoopbackCall(benchmark::State& state) {
   loop.join();
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
+
+void BM_TcpLoopbackCall(benchmark::State& state) {
+  RunLoopbackCalls(state, /*workers=*/0);
+}
 BENCHMARK(BM_TcpLoopbackCall)->Arg(64)->Arg(4096);
+
+void BM_TcpLoopbackCallPooled(benchmark::State& state) {
+  RunLoopbackCalls(state, /*workers=*/2);
+}
+BENCHMARK(BM_TcpLoopbackCallPooled)->Arg(64)->Arg(4096);
 
 }  // namespace
 }  // namespace p2prange

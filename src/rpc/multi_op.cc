@@ -17,6 +17,57 @@ bool IsBatchableMsgType(MsgType t) {
   }
 }
 
+namespace {
+
+bool IsPooledMsgType(MsgType t) {
+  switch (t) {
+    case MsgType::kStoreDescriptor:
+    case MsgType::kStorePartition:
+    case MsgType::kFetchPartition:
+      return true;
+    default:
+      return false;
+  }
+}
+
+Status NonBatchable(uint8_t raw_type) {
+  return Status::InvalidArgument("non-batchable sub-op type " +
+                                 std::to_string(raw_type));
+}
+
+/// Walks a kMultiOp request body, handing each sub-op's type and a
+/// view of its body to `visit` (which may veto with an error). Fails
+/// on any framing defect: a bad count, an unknown type byte, a
+/// truncated body, trailing bytes.
+template <typename Visit>
+Status WalkMultiOpRequest(std::string_view body, Visit&& visit) {
+  wire::Decoder dec(body);
+  // Each sub-op is at least a type byte plus a length varint.
+  ASSIGN_OR_RETURN(const size_t n, dec.GuardedCount(2, kMaxMultiOps));
+  if (n == 0) return Status::InvalidArgument("empty multi-op batch");
+  for (size_t i = 0; i < n; ++i) {
+    ASSIGN_OR_RETURN(const uint8_t raw_type, dec.U8());
+    if (!IsKnownMsgType(raw_type)) return NonBatchable(raw_type);
+    ASSIGN_OR_RETURN(const std::string_view op_body, dec.StringView());
+    RETURN_NOT_OK(visit(static_cast<MsgType>(raw_type), op_body));
+  }
+  if (!dec.AtEnd()) return Status::InvalidArgument("trailing batch bytes");
+  return Status::OK();
+}
+
+}  // namespace
+
+bool IsPooledRequest(MsgType type, std::string_view body) {
+  if (type != MsgType::kMultiOp) return IsPooledMsgType(type);
+  bool pooled = false;
+  const Status walked =
+      WalkMultiOpRequest(body, [&pooled](MsgType t, std::string_view) {
+        pooled = pooled || IsPooledMsgType(t);
+        return Status::OK();
+      });
+  return walked.ok() && pooled;
+}
+
 std::string EncodeMultiOpRequest(const MultiOpRequest& req) {
   wire::Encoder enc;
   enc.PutVarint(req.ops.size());
@@ -28,25 +79,15 @@ std::string EncodeMultiOpRequest(const MultiOpRequest& req) {
 }
 
 Result<MultiOpRequest> DecodeMultiOpRequest(std::string_view body) {
-  wire::Decoder dec(body);
-  // Each sub-op is at least a type byte plus a length varint.
-  ASSIGN_OR_RETURN(const size_t n, dec.GuardedCount(2, kMaxMultiOps));
-  if (n == 0) return Status::InvalidArgument("empty multi-op batch");
   MultiOpRequest req;
-  req.ops.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    ASSIGN_OR_RETURN(const uint8_t raw_type, dec.U8());
-    if (!IsKnownMsgType(raw_type) ||
-        !IsBatchableMsgType(static_cast<MsgType>(raw_type))) {
-      return Status::InvalidArgument("non-batchable sub-op type " +
-                                     std::to_string(raw_type));
-    }
-    MultiOp op;
-    op.type = static_cast<MsgType>(raw_type);
-    ASSIGN_OR_RETURN(op.body, dec.String());
-    req.ops.push_back(std::move(op));
-  }
-  if (!dec.AtEnd()) return Status::InvalidArgument("trailing batch bytes");
+  RETURN_NOT_OK(
+      WalkMultiOpRequest(body, [&req](MsgType t, std::string_view op_body) {
+        if (!IsBatchableMsgType(t)) {
+          return NonBatchable(static_cast<uint8_t>(t));
+        }
+        req.ops.push_back(MultiOp{t, std::string(op_body)});
+        return Status::OK();
+      }));
   return req;
 }
 

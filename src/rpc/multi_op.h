@@ -59,6 +59,18 @@ inline constexpr size_t kMaxMultiOps = 256;
 /// membership, and never kMultiOp itself.
 bool IsBatchableMsgType(MsgType t);
 
+/// \brief The daemon's dispatch rule: true iff a request may block the
+/// poll loop and so belongs on the worker pool — its cost grows with
+/// its payload or it touches disk. That is kFetchPartition,
+/// kStorePartition, kStoreDescriptor (WAL + snapshot rewrite), and a
+/// kMultiOp holding one of them. Everything else (pings, probes,
+/// membership, metrics, handoff, pull) is a short in-memory step the
+/// poll thread answers inline, skipping the queue/doorbell round trip.
+/// A batch is classified by its sub-op type bytes alone: no body is
+/// copied, nothing is decoded. A malformed batch is inline, where its
+/// decode fails as it would anywhere.
+bool IsPooledRequest(MsgType type, std::string_view body);
+
 std::string EncodeMultiOpRequest(const MultiOpRequest& req);
 Result<MultiOpRequest> DecodeMultiOpRequest(std::string_view body);
 

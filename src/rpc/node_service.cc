@@ -340,6 +340,10 @@ Result<std::string> NodeService::HandleMembership(MsgType type,
 }
 
 void NodeService::PublishRedirectRing() {
+  const uint64_t view =
+      membership_ != nullptr ? membership_->counters().view_changes : 0;
+  if (published_view_ == view) return;
+  published_view_ = view;
   std::shared_ptr<const RingView> fresh;
   if (membership_ != nullptr && membership_->num_alive() >= 2) {
     auto ring = membership_->AliveRing();

@@ -161,10 +161,13 @@ class NodeService {
   /// \brief Publishes an immutable snapshot of the alive ring for the
   /// redirect decision. LiveMembership belongs to the poll thread, so
   /// a worker-pool daemon must call this from that thread after every
-  /// membership tick; from the first call on, RedirectFor consults
-  /// only the snapshot and worker threads never touch membership.
-  /// Inline (no-executor) deployments never call it and keep the
-  /// direct, always-fresh path.
+  /// loop iteration; from the first call on, RedirectFor consults only
+  /// the snapshot and worker threads never touch membership. The
+  /// snapshot is rebuilt only when the membership's visible view moved
+  /// since the last publish (counters().view_changes counts every
+  /// join, death and suppression release); otherwise the call is one
+  /// counter compare. Inline (no-executor) deployments never call it
+  /// and keep the direct, always-fresh path.
   void PublishRedirectRing() EXCLUDES(ring_mu_);
 
   /// \brief Stores one descriptor durably (insert + WAL/snapshot
@@ -236,6 +239,10 @@ class NodeService {
   chord::ChordId id_;
   NodeServiceOptions options_;
   LiveMembership* membership_ = nullptr;
+  /// membership_'s view_changes at the last PublishRedirectRing
+  /// (nullopt = never published). Touched only by the thread that
+  /// publishes.
+  std::optional<uint64_t> published_view_;
   std::unique_ptr<store::DurableDescriptorStore> store_ GUARDED_BY(data_mu_);
   std::unordered_map<PartitionKey, Relation, PartitionKeyHash> partitions_
       GUARDED_BY(data_mu_);

@@ -64,12 +64,17 @@ Result<size_t> Decoder::GuardedCount(size_t min_bytes_per_item,
 }
 
 Result<std::string> Decoder::String() {
+  ASSIGN_OR_RETURN(const std::string_view view, StringView());
+  return std::string(view);
+}
+
+Result<std::string_view> Decoder::StringView() {
   ASSIGN_OR_RETURN(const uint64_t len, Varint());
   if (len > remaining()) {
     return Status::OutOfRange("decoder: truncated string of length " +
                               std::to_string(len));
   }
-  std::string out(data_.substr(pos_, len));
+  const std::string_view out = data_.substr(pos_, len);
   pos_ += len;
   return out;
 }

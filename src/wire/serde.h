@@ -51,6 +51,9 @@ class Decoder {
   Result<uint64_t> Varint();
   Result<int64_t> ZigZag();
   Result<std::string> String();
+  /// String() without the copy: a view into the decoded buffer, valid
+  /// as long as that buffer is.
+  Result<std::string_view> StringView();
 
   /// \brief Reads a varint element count and validates it before any
   /// allocation: the count must not exceed `max_items`, and the buffer

@@ -2,10 +2,14 @@
 // hostile-decode discipline every wire path carries — counts are
 // guarded before allocation, sub-op types must be batchable (never
 // kMultiOp itself, never a membership message), trailing bytes are an
-// error, not padding.
+// error, not padding. Also the daemon's dispatch rule
+// (IsPooledRequest), which classifies a batch by its sub-op types.
 #include "rpc/multi_op.h"
 
 #include <gtest/gtest.h>
+
+#include <initializer_list>
+#include <string>
 
 #include "wire/serde.h"
 
@@ -59,6 +63,74 @@ TEST(MultiOpTest, OnlyDataPathTypesAreBatchable) {
   EXPECT_FALSE(IsBatchableMsgType(MsgType::kGossip));
   EXPECT_FALSE(IsBatchableMsgType(MsgType::kHandoff));
   EXPECT_FALSE(IsBatchableMsgType(MsgType::kMultiOp));
+}
+
+std::string Batch(std::initializer_list<MsgType> types) {
+  MultiOpRequest req;
+  for (const MsgType t : types) req.ops.push_back(MultiOp{t, "body bytes"});
+  return EncodeMultiOpRequest(req);
+}
+
+TEST(MultiOpTest, PooledRequestsAreThoseThatMayBlockThePollLoop) {
+  // Payload- or disk-bound: the worker pool's.
+  EXPECT_TRUE(IsPooledRequest(MsgType::kFetchPartition, ""));
+  EXPECT_TRUE(IsPooledRequest(MsgType::kStorePartition, ""));
+  EXPECT_TRUE(IsPooledRequest(MsgType::kStoreDescriptor, ""));
+  // A short in-memory step: answered on the poll thread.
+  for (const MsgType t :
+       {MsgType::kPing, MsgType::kProbeBucket, MsgType::kMetrics,
+        MsgType::kJoin, MsgType::kLeave, MsgType::kNotify,
+        MsgType::kGetNeighbors, MsgType::kGossip, MsgType::kPullBuckets,
+        MsgType::kHandoff}) {
+    EXPECT_FALSE(IsPooledRequest(t, "")) << MsgTypeName(t);
+  }
+
+  // A batch is classified by its sub-ops: one pooled sub-op anywhere
+  // sends the whole batch to the pool.
+  EXPECT_FALSE(IsPooledRequest(MsgType::kMultiOp,
+                               Batch({MsgType::kProbeBucket,
+                                      MsgType::kProbeBucket,
+                                      MsgType::kProbeBucket})));
+  EXPECT_FALSE(IsPooledRequest(MsgType::kMultiOp,
+                               Batch({MsgType::kPing, MsgType::kPing})));
+  EXPECT_FALSE(IsPooledRequest(MsgType::kMultiOp,
+                               Batch({MsgType::kPing, MsgType::kProbeBucket})));
+  EXPECT_TRUE(IsPooledRequest(MsgType::kMultiOp,
+                              Batch({MsgType::kProbeBucket,
+                                     MsgType::kFetchPartition})));
+  EXPECT_TRUE(IsPooledRequest(MsgType::kMultiOp,
+                              Batch({MsgType::kStoreDescriptor,
+                                     MsgType::kProbeBucket})));
+  EXPECT_TRUE(IsPooledRequest(MsgType::kMultiOp,
+                              Batch({MsgType::kPing, MsgType::kPing,
+                                     MsgType::kStorePartition})));
+}
+
+TEST(MultiOpTest, MalformedBatchIsServedInline) {
+  // A batch that cannot decode stays on the poll thread, where the
+  // decode fails — even when its readable prefix names a pooled op.
+  const std::string fetch_batch =
+      Batch({MsgType::kFetchPartition, MsgType::kProbeBucket});
+  ASSERT_TRUE(IsPooledRequest(MsgType::kMultiOp, fetch_batch));
+  for (size_t cut = 0; cut < fetch_batch.size(); ++cut) {
+    EXPECT_FALSE(IsPooledRequest(MsgType::kMultiOp,
+                                 std::string_view(fetch_batch).substr(0, cut)))
+        << "truncation at " << cut;
+  }
+  EXPECT_FALSE(IsPooledRequest(MsgType::kMultiOp, fetch_batch + "x"));
+  EXPECT_FALSE(IsPooledRequest(MsgType::kMultiOp, "\xFF\xFF garbage"));
+
+  wire::Encoder empty;
+  empty.PutVarint(0);
+  EXPECT_FALSE(IsPooledRequest(MsgType::kMultiOp, empty.Take()));
+
+  wire::Encoder unknown;
+  unknown.PutVarint(2);
+  unknown.PutU8(static_cast<uint8_t>(MsgType::kFetchPartition));
+  unknown.PutString("");
+  unknown.PutU8(99);
+  unknown.PutString("");
+  EXPECT_FALSE(IsPooledRequest(MsgType::kMultiOp, unknown.Take()));
 }
 
 TEST(MultiOpTest, DecodeRejectsEmptyBatch) {

@@ -62,6 +62,36 @@ TEST(DecoderTest, TruncatedBuffersFailCleanly) {
   }
 }
 
+TEST(DecoderTest, StringViewPointsIntoTheBufferAndFailsLikeString) {
+  Encoder enc;
+  enc.PutString("first");
+  enc.PutString("");
+  enc.PutString("third");
+  const std::string& full = enc.buffer();
+  Decoder dec(full);
+  auto first = dec.StringView();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, "first");
+  EXPECT_GE(first->data(), full.data());
+  EXPECT_LE(first->data() + first->size(), full.data() + full.size());
+  auto empty = dec.StringView();
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  auto third = dec.String();
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(*third, "third");
+  EXPECT_TRUE(dec.AtEnd());
+
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    Decoder truncated(std::string_view(full).substr(0, cut));
+    Status failed;
+    for (int i = 0; i < 3 && failed.ok(); ++i) {
+      failed = truncated.StringView().status();
+    }
+    EXPECT_FALSE(failed.ok()) << "cut at " << cut;
+  }
+}
+
 TEST(DecoderTest, OverlongVarintRejected) {
   // 11 continuation bytes exceed 64 bits of payload.
   std::string bad(11, static_cast<char>(0x80));

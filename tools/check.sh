@@ -204,14 +204,17 @@ echo "=== live-churn smoke (joins + SIGKILL + rolling restart under load) ==="
 ./build/tests/p2prange_tests --gtest_filter='LiveChurnTest.*'
 
 # The load harness emits one JSON object; beyond exiting 0 it must show
-# a live daemon after the overload burst and zero hung clients — a shed
-# request that never resolves is exactly the bug this gate exists for.
+# a live daemon after the overload burst, zero hung clients — a shed
+# request that never resolves is exactly the bug this gate exists for —
+# and at least one shed, or the burst never reached admission control.
 echo "=== live-load smoke (worker pool + admission control under overload) ==="
 load_json=$(./build/bench/ablation_live_ring --smoke 2>/dev/null)
 echo "$load_json" | grep -q '"hung":0' \
   || { echo "live-load smoke: hung clients in overload phase" >&2; exit 1; }
 echo "$load_json" | grep -q '"daemon_alive_after":true' \
   || { echo "live-load smoke: daemon died under overload" >&2; exit 1; }
+echo "$load_json" | grep -q '"shed":[1-9]' \
+  || { echo "live-load smoke: overload burst was never shed" >&2; exit 1; }
 
 # Chaos smoke: the unit suites for the fault-injection stack (plan
 # parsing, transport hardening, membership damping), the full ring
@@ -257,15 +260,16 @@ if [[ $do_tsan -eq 1 ]]; then
   # its own configuration. Scope: the suites that actually run threads
   # today — TCP transport/server (background poll threads), concurrent
   # logging, the membership join/leave tests (helper poll threads), the
-  # worker-pool executor and kMultiOp suites, the live-churn
-  # acceptance test (client thread + forked daemons), and the
+  # worker-pool executor, kMultiOp and pooled-dispatch suites, the
+  # live-churn acceptance test and the worker-pool live-ring test
+  # (client thread + forked daemons), and the
   # transport-hardening + chaos-ring suites (deadline sweeps and the
   # fault-injection proxy against TSan-built daemons).
   echo "=== tsan build + threaded suites (thread) ==="
   cmake -B build-tsan -S . -DP2PRANGE_WERROR=ON -DP2PRANGE_SANITIZE=thread
   cmake --build build-tsan -j
   ./build-tsan/tests/p2prange_tests \
-    --gtest_filter='SyncTest.*:TcpTransportTest.*:LoggingTest.*:NodeServiceTest.*:RingClientTest.*:MembershipTest.*:LiveChurnTest.*:RpcExecutorTest.*:MultiOpTest.*:TcpHardeningTest.*:ChaosRingTest.*'
+    --gtest_filter='SyncTest.*:TcpTransportTest.*:LoggingTest.*:NodeServiceTest.*:RingClientTest.*:MembershipTest.*:LiveChurnTest.*:RpcExecutorTest.*:MultiOpTest.*:PooledDispatchTest.*:LiveRingTest.PaperWorkloadRecallMatchesSimulatorOnWorkerPool:TcpHardeningTest.*:ChaosRingTest.*'
   # The load harness under TSan exercises the poll-loop/worker/doorbell
   # handoff in forked TSan-built daemons under real concurrent load.
   echo "=== tsan live-load smoke ==="

@@ -37,13 +37,17 @@
 // defense); 0 keeps a guard disabled except write_buffer_cap, where
 // 0 means unbounded.
 //
-// With --workers=N (N >= 1) the data-path messages — ping, store,
-// probe, fetch, and kMultiOp batches of them — are served by a pool of
-// N worker threads behind a bounded work queue (--queue_depth), while
-// the poll loop keeps sole ownership of the sockets and of membership.
-// A full queue is admission control: the request is refused on the
-// spot with ResourceExhausted instead of queueing without bound.
-// --workers=0 (the default) keeps the classic single-loop daemon.
+// With --workers=N (N >= 1) the requests that could park the poll
+// loop — partition fetches and stores, descriptor stores (WAL +
+// snapshot rewrite), and kMultiOp batches holding one of them — are
+// served by a pool of N worker threads behind a bounded work queue
+// (--queue_depth), while the poll loop keeps sole ownership of the
+// sockets and of membership. Pings, probes and probe-only batches are
+// short in-memory reads, answered inline on the poll thread without
+// the queue and doorbell round trip. A full queue is admission
+// control: a pooled request is refused on the spot with
+// ResourceExhausted instead of queueing without bound. --workers=0
+// (the default) keeps the classic single-loop daemon.
 //
 // SIGTERM / SIGINT shut the daemon down gracefully: with ring peers
 // present the local descriptors are handed off to the successor and
@@ -287,12 +291,14 @@ int main(int argc, char** argv) {
   }
   service_ptr = service->get();
 
-  // Worker pool (--workers >= 1): the poll loop hands each data-path
-  // request to the executor and keeps polling; workers run the handler
-  // against the (thread-safe) service and the completed responses come
-  // back through the completion queue, whose doorbell fd wakes poll().
-  // Everything else — membership, metrics, handoff — stays inline on
-  // the poll thread, which therefore remains LiveMembership's only
+  // Worker pool (--workers >= 1): the poll loop hands each request
+  // that may block it (rpc::IsPooledRequest: partition fetch/store,
+  // descriptor store, and batches holding one) to the executor and
+  // keeps polling; workers run the handler against the (thread-safe)
+  // service and the completed responses come back through the
+  // completion queue, whose doorbell fd wakes poll(). Everything else
+  // — pings, probes, membership, metrics, handoff — is answered inline
+  // on the poll thread, which therefore remains LiveMembership's only
   // thread.
   std::unique_ptr<rpc::Executor> executor;
   if (flags.workers < 0) return Usage(argv[0]);
@@ -311,7 +317,7 @@ int main(int argc, char** argv) {
                                    uint64_t conn_id,
                                    const rpc::RpcEnvelope& env) {
       const rpc::MsgType type = env.header.type;
-      if (!rpc::IsBatchableMsgType(type) && type != rpc::MsgType::kMultiOp) {
+      if (!rpc::IsPooledRequest(type, env.body)) {
         return false;  // poll thread serves it inline
       }
       rpc::RpcHeader rh;
@@ -369,7 +375,7 @@ int main(int argc, char** argv) {
   (*service)->set_membership(&*membership);
   // From here on worker threads may consult the redirect decision, so
   // they get an immutable snapshot of the alive ring; the poll thread
-  // re-publishes it after every membership tick.
+  // re-publishes it after every loop iteration that changed the view.
   if (executor != nullptr) (*service)->PublishRedirectRing();
 
   rpc::RereplicateConfig rereplicate_config;
